@@ -47,7 +47,6 @@ main()
     FastswapConfig fs_cfg;
     fs_cfg.farHeapBytes = 64 << 20;
     fs_cfg.localMemBytes = 8 << 20;
-    fs_cfg.readaheadEnabled = true;
 
     // Local fault: page data arrived via readahead, PTE still unmapped.
     FastswapRuntime fs2(fs_cfg, costs);
@@ -63,7 +62,7 @@ main()
     });
 
     FastswapConfig fs_cfg_nora = fs_cfg;
-    fs_cfg_nora.readaheadEnabled = false;
+    fs_cfg_nora.readaheadPages = 0;
     FastswapRuntime fs3(fs_cfg_nora, costs);
     const std::uint64_t heap3 = fs3.allocate(32 << 20);
     std::uint64_t major_page = 0;

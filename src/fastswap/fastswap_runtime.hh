@@ -5,20 +5,10 @@
  * Models the paper's kernel-based comparison point (Amaro et al.,
  * EuroSys '20): the application is unmodified, every page of its heap
  * can be swapped to the remote node, and the only interposition point is
- * the hardware page fault. Consequences the model reproduces:
- *
- *  - accesses to resident, mapped pages cost nothing extra (no guards);
- *  - a fault on a page whose data is already local (readahead landed,
- *    PTE not yet mapped) costs the Table 2 "local" fault price (1.3 K);
- *  - a fault on a remote page pays fault handling plus a full 4 KB page
- *    transfer (~34-35 K cycles total);
- *  - transfers are always whole pages — the I/O amplification that
- *    Figures 13 and 16 measure;
- *  - reclamation (cgroups accounting, unmapping) charges per evicted
- *    page and writes back dirty pages;
- *  - Linux-style swap readahead fetches a cluster of pages around a
- *    major fault, which is what lets Fastswap amortize faults under
- *    temporal/spatial locality (section 5 "Lessons").
+ * the hardware page fault. The fault, readahead and reclaim costs are
+ * the SwapModel's (swap_model.hh); this runtime binds it to a private
+ * clock and link, keeps the bytes in a RemoteNode and allocates from
+ * the swappable heap.
  */
 
 #ifndef TRACKFM_FASTSWAP_FASTSWAP_RUNTIME_HH
@@ -30,49 +20,31 @@
 
 #include "net/network_model.hh"
 #include "remote/remote_node.hh"
-#include "runtime/frame_cache.hh"
-#include "runtime/object_state_table.hh"
 #include "runtime/region_allocator.hh"
 #include "sim/cost_params.hh"
 #include "sim/cycle_clock.hh"
 #include "sim/stats.hh"
+#include "swap_model.hh"
 
 namespace tfm
 {
+
+class Observability;
 
 /** Configuration for the Fastswap baseline. */
 struct FastswapConfig
 {
     std::uint64_t farHeapBytes = 64ull << 20;
     std::uint64_t localMemBytes = 16ull << 20;
-    /// Architected page size — fixed at 4 KB on the paper's testbed.
-    std::uint32_t pageSizeBytes = 4096;
-    /// Swap readahead window (pages fetched around a major fault).
+    /// Swap readahead window (pages fetched after a major fault); 0 = off.
     std::uint32_t readaheadPages = 8;
-    bool readaheadEnabled = true;
     /// Observability sink; null falls back to obs::defaultSink().
     Observability *obs = nullptr;
     /// Per-instance trace stream label; empty uses "fastswap".
     std::string obsLabel;
 };
 
-/** Fault/paging counters (Fig. 14b and 16b plot these). */
-struct FastswapStats
-{
-    std::uint64_t minorFaults = 0; ///< data local, PTE fixup only
-    std::uint64_t majorFaults = 0; ///< remote fetch required
-    std::uint64_t pageouts = 0;    ///< dirty pages written back
-    std::uint64_t reclaims = 0;    ///< pages evicted
-    std::uint64_t readaheads = 0;  ///< pages pulled in speculatively
-};
-
-/**
- * The kernel-swap simulator.
- *
- * Reuses the frame cache and state table machinery at page granularity:
- * "present + !inflight" models a mapped PTE; "present + inflight" models
- * a page in the swap cache that is not yet mapped (readahead).
- */
+/** The kernel-swap simulator: a SwapModel over a private remote heap. */
 class FastswapRuntime
 {
   public:
@@ -88,19 +60,10 @@ class FastswapRuntime
     std::uint64_t allocate(std::uint64_t bytes);
     void deallocate(std::uint64_t offset);
 
-    /**
-     * Perform one access of @p len bytes at @p offset, taking page
-     * faults as needed. Returns a host pointer to the first byte.
-     */
-    std::byte *access(std::uint64_t offset, bool for_write);
-
-    /**
-     * Multi-byte read; accesses spanning page boundaries fault on each
-     * page touched.
-     */
+    /** Read @p len bytes; one potential fault per page touched. */
     void readBytes(std::uint64_t offset, void *dst, std::size_t len);
 
-    /** Multi-byte write; one potential fault per page touched. */
+    /** Write @p len bytes; one potential fault per page touched. */
     void writeBytes(std::uint64_t offset, const void *src, std::size_t len);
 
     /** Typed access helpers. */
@@ -127,9 +90,9 @@ class FastswapRuntime
     /** @} */
 
     /** Push every page remote so measurement starts cold. */
-    void evacuateAll();
+    void evacuateAll() { model_.evacuate(); }
 
-    const FastswapStats &stats() const { return _stats; }
+    const SwapStats &stats() const { return model_.stats(); }
     const NetStats &netStats() const { return _net.stats(); }
     void exportStats(StatSet &set) const;
 
@@ -137,10 +100,7 @@ class FastswapRuntime
     std::uint32_t obsStream() const { return obsStream_; }
 
   private:
-    std::uint64_t takeFrame();
-    void evictFrame(std::uint64_t frame_idx);
-    void readahead(std::uint64_t page_id);
-    /** Epoch time-series snapshot (residency, wire bytes). */
+    /** Epoch time-series snapshot (residency, wire bytes) when due. */
     void obsEpochSample();
 
     FastswapConfig cfg;
@@ -148,10 +108,8 @@ class FastswapRuntime
     CycleClock _clock;
     NetworkModel _net;
     RemoteNode _remote;
-    ObjectStateTable pages;
-    FrameCache cache;
     RegionAllocator alloc_;
-    FastswapStats _stats;
+    SwapModel model_;
     Observability *obs_ = nullptr;
     std::uint32_t obsStream_ = 0;
 };

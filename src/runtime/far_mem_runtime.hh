@@ -73,20 +73,16 @@ struct RuntimeConfig
 
     /** @name Paged data plane (hybrid path arbiter; DESIGN.md §4l)
      *
-     * Sites the arbiter routes to the paging plane are backed by a
-     * fastswap-style residency model sharing this runtime's clock and
-     * network link. The paged plane is a cost/residency model only:
-     * data still lives in the far heap and moves through rawRead /
-     * rawWrite, so plane choice can never change program results.
+     * Sites the arbiter routes to the paging plane are backed by
+     * Fastswap's residency model (4 KB pages, 8-page readahead) sharing
+     * this runtime's clock and network link. The paged plane is a
+     * cost/residency model only: data still lives in the far heap and
+     * moves through rawRead / rawWrite, so plane choice can never change
+     * program results.
      * @{ */
-    /// Page size for the paged plane (kernel-style 4 KB).
-    std::uint32_t pagedPageSizeBytes = 4096;
     /// Local memory budget for paged-plane resident pages; 0 means
     /// "share the guard plane's budget" (localMemBytes).
     std::uint64_t pagedLocalMemBytes = 0;
-    /// Fault-side readahead window in pages (fastswap-style).
-    bool pagedReadaheadEnabled = true;
-    std::uint32_t pagedReadaheadPages = 8;
     /** @} */
 
     /** @name Concurrent runtime (DESIGN.md §4k)
@@ -178,6 +174,8 @@ class FarMemRuntime
      *  a worker thread, the runtime's main clock otherwise. */
     CycleClock &clock();
     const CycleClock &clock() const;
+    /** The runtime's own clock, whichever thread asks. */
+    CycleClock &mainClock() { return _clock; }
     /** The remote tier this runtime drives (single node or cluster). */
     RemoteBackend &backend() { return *backend_; }
     const RemoteBackend &backend() const { return *backend_; }

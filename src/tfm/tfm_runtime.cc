@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "fastswap/paged_plane.hh"
+#include "fastswap/swap_model.hh"
 #include "obs/obs.hh"
 #include "sim/logging.hh"
 
@@ -17,11 +17,18 @@ TfmRuntime::TfmRuntime(const RuntimeConfig &config,
 
 TfmRuntime::~TfmRuntime() = default;
 
-PagedPlane &
+SwapModel &
 TfmRuntime::ensurePaged()
 {
-    if (!paged_)
-        paged_ = std::make_unique<PagedPlane>(rt);
+    // Kernel-style readahead window of the paged plane, in pages.
+    constexpr std::uint32_t kPagedReadaheadPages = 8;
+    if (!paged_) {
+        const RuntimeConfig &c = rt.config();
+        paged_ = std::make_unique<SwapModel>(
+            rt.mainClock(), rt.net(), rt.costs(), c.farHeapBytes,
+            c.pagedLocalMemBytes ? c.pagedLocalMemBytes : c.localMemBytes,
+            kPagedReadaheadPages, "paged");
+    }
     return *paged_;
 }
 
@@ -46,16 +53,38 @@ TfmRuntime::pagedCalloc(std::size_t count, std::size_t size)
 }
 
 void
+TfmRuntime::pagedTouch(std::uint64_t addr, std::size_t len, bool for_write)
+{
+    SwapModel &pg = ensurePaged();
+    const std::uint64_t majorFaults = pg.stats().majorFaults;
+    pg.touch(tfmOffsetOf(addr), len, for_write);
+    Observability *obs = rt.obs();
+    if (pg.stats().majorFaults == majorFaults || !obs ||
+        !obs->trace().enabled()) {
+        return;
+    }
+    // Cumulative paged.* counter tracks after each faulting access.
+    const std::uint32_t stream = rt.obsStream();
+    const std::uint64_t now = rt.mainClock().now();
+    const SwapStats &s = pg.stats();
+    obs->trace().counter(stream, "paged.major_faults", now, s.majorFaults);
+    obs->trace().counter(stream, "paged.minor_faults", now, s.minorFaults);
+    obs->trace().counter(stream, "paged.reclaims", now, s.reclaims);
+    obs->trace().counter(stream, "paged.resident_pages", now,
+                         pg.residentPages());
+}
+
+void
 TfmRuntime::pagedRead(std::uint64_t addr, void *dst, std::size_t len)
 {
-    ensurePaged().touch(tfmOffsetOf(addr), len, /*for_write=*/false);
+    pagedTouch(addr, len, /*for_write=*/false);
     rt.rawRead(tfmOffsetOf(addr), dst, len);
 }
 
 void
 TfmRuntime::pagedWrite(std::uint64_t addr, const void *src, std::size_t len)
 {
-    ensurePaged().touch(tfmOffsetOf(addr), len, /*for_write=*/true);
+    pagedTouch(addr, len, /*for_write=*/true);
     rt.rawWrite(tfmOffsetOf(addr), src, len);
 }
 

@@ -31,7 +31,7 @@
 namespace tfm
 {
 
-class PagedPlane;
+class SwapModel;
 
 /**
  * TrackFM's injected runtime.
@@ -44,7 +44,7 @@ class PagedPlane;
 class TfmRuntime
 {
   public:
-    // Both out of line: PagedPlane is incomplete here, and an inline
+    // Both out of line: SwapModel is incomplete here, and an inline
     // constructor/destructor would instantiate its unique_ptr deleter.
     TfmRuntime(const RuntimeConfig &config, const CostParams &cost_params);
     ~TfmRuntime();
@@ -100,8 +100,8 @@ class TfmRuntime
      * The pg_malloc family backs allocation sites the PathArbiterPass
      * routed to the paging plane. Pointers carry the bit-61 tag (so
      * guards custody-reject them and the interpreter's memory choke
-     * point resolves them here); accesses charge fastswap-style fault
-     * costs through a lazily created PagedPlane sharing this runtime's
+     * point resolves them here); accesses charge Fastswap's fault costs
+     * through a lazily created SwapModel bound to this runtime's main
      * clock and link, while the data itself moves through the far
      * heap's raw read/write — results are plane-independent by
      * construction.
@@ -118,8 +118,8 @@ class TfmRuntime
     /** Fault accounting + write-through via rawWrite. */
     void pagedWrite(std::uint64_t addr, const void *src, std::size_t len);
     /** The plane, created on first use; nullptr when never used. */
-    PagedPlane *pagedPlane() const { return paged_.get(); }
-    /** Drop the plane's residency (cold-start measurements). */
+    const SwapModel *pagedPlane() const { return paged_.get(); }
+    /** Drop the plane's residency, unmetered (cold-start measurements). */
     void evacuatePaged();
     /** @} */
 
@@ -397,13 +397,15 @@ class TfmRuntime
                         std::size_t len);
 
     /** The paged plane, or create it on first paged allocation. */
-    PagedPlane &ensurePaged();
+    SwapModel &ensurePaged();
+    /** Fault accounting for one paged access, plus counter tracks. */
+    void pagedTouch(std::uint64_t addr, std::size_t len, bool for_write);
 
     FarMemRuntime rt;
     GuardStats gstats;
     GuardTrace gtrace;
     LastObjectCache lastObjCache;
-    std::unique_ptr<PagedPlane> paged_;
+    std::unique_ptr<SwapModel> paged_;
     std::vector<std::unique_ptr<Worker>> workers_;
     static thread_local Worker *tlsWorker_;
 };

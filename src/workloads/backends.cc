@@ -506,8 +506,7 @@ class FastswapBackend : public MemBackend
         FastswapConfig fc;
         fc.farHeapBytes = config.farHeapBytes;
         fc.localMemBytes = config.localMemBytes;
-        fc.readaheadEnabled = config.kernelReadahead;
-        fc.readaheadPages = config.prefetchDepth;
+        fc.readaheadPages = config.kernelReadahead ? config.prefetchDepth : 0;
         fc.obsLabel = config.obsLabel;
         return fc;
     }

@@ -42,53 +42,38 @@ mix64(std::uint64_t x)
  * deterministic replay gates depend on sharding being invisible at
  * shard_count=1. Pin the canonical sweep (clear-and-skip referenced
  * frames, skip pinned frames, second sweep guaranteed to find a
- * victim) and drive the legacy and the shard-aware entry points in
- * lockstep on two caches, asserting identical victim sequences.
+ * victim) through the shard-aware entry points.
  */
 TEST(FrameCacheClock, SingleShardMatchesSeedOrder)
 {
-    FrameCache legacy(8 * 64, 64, 1);
-    FrameCache sharded(8 * 64, 64, 1);
-    ASSERT_EQ(legacy.numFrames(), 8u);
+    FrameCache cache(8 * 64, 64, 1);
+    ASSERT_EQ(cache.numFrames(), 8u);
 
     for (int i = 0; i < 8; i++) {
-        const std::uint64_t a = legacy.allocFrame();
-        const std::uint64_t b = sharded.allocFrameIn(0);
-        ASSERT_EQ(a, b);
         // Descending free list: allocation hands out 0,1,2,... exactly
         // like the pre-sharding cache.
-        ASSERT_EQ(a, static_cast<std::uint64_t>(i));
+        ASSERT_EQ(cache.allocFrameIn(0), static_cast<std::uint64_t>(i));
     }
 
     // All refbits start set; the first sweep clears them and the second
     // returns the frame under the (wrapped) hand: frame 0.
-    std::uint64_t v = legacy.pickVictim();
+    std::uint64_t v = cache.pickVictimIn(0);
     EXPECT_EQ(v, 0u);
-    EXPECT_EQ(sharded.pickVictimIn(0), v);
-    legacy.releaseFrame(v);
-    sharded.releaseFrame(v);
-    EXPECT_EQ(legacy.allocFrame(), 0u);
-    EXPECT_EQ(sharded.allocFrameIn(0), 0u);
+    cache.releaseFrame(v);
+    EXPECT_EQ(cache.allocFrameIn(0), 0u);
 
     // Hand sits at 1. Re-referenced frames 1 and 2 get cleared and
     // skipped; frame 3 is the victim.
-    for (FrameCache *c : {&legacy, &sharded}) {
-        c->frame(1).refbit.store(true);
-        c->frame(2).refbit.store(true);
-    }
-    v = legacy.pickVictim();
+    cache.frame(1).refbit.store(true);
+    cache.frame(2).refbit.store(true);
+    v = cache.pickVictimIn(0);
     EXPECT_EQ(v, 3u);
-    EXPECT_EQ(sharded.pickVictimIn(0), v);
-    legacy.releaseFrame(v);
-    sharded.releaseFrame(v);
+    cache.releaseFrame(v);
 
     // Hand sits at 4. A pinned frame is skipped without clearing its
     // refbit; frame 5 (refbit already cleared above) is the victim.
-    for (FrameCache *c : {&legacy, &sharded})
-        c->frame(4).pins.store(1);
-    v = legacy.pickVictim();
-    EXPECT_EQ(v, 5u);
-    EXPECT_EQ(sharded.pickVictimIn(0), v);
+    cache.frame(4).pins.store(1);
+    EXPECT_EQ(cache.pickVictimIn(0), 5u);
 }
 
 /** Every frame pinned or in limbo: the sweep must give up, not spin. */
@@ -96,10 +81,10 @@ TEST(FrameCacheClock, AllPinnedReturnsNoFrame)
 {
     FrameCache cache(4 * 64, 64, 1);
     for (int i = 0; i < 4; i++) {
-        const std::uint64_t f = cache.allocFrame();
+        const std::uint64_t f = cache.allocFrameIn(0);
         cache.frame(f).pins.store(1);
     }
-    EXPECT_EQ(cache.pickVictim(), FrameCache::noFrame);
+    EXPECT_EQ(cache.pickVictimIn(0), FrameCache::noFrame);
 }
 
 /**

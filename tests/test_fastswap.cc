@@ -1,13 +1,20 @@
 /**
  * @file
- * Unit tests for the Fastswap kernel-swap baseline.
+ * Unit tests for the kernel-swap model and its two bindings: the
+ * Fastswap baseline and TfmRuntime's paged plane.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "fastswap/fastswap_runtime.hh"
+#include "obs/obs.hh"
+#include "tfm/tfm_runtime.hh"
 
 namespace tfm
 {
@@ -20,7 +27,7 @@ smallConfig(std::uint64_t frames = 16, bool readahead = false)
     FastswapConfig cfg;
     cfg.farHeapBytes = 4 << 20;
     cfg.localMemBytes = frames * 4096;
-    cfg.readaheadEnabled = readahead;
+    cfg.readaheadPages = readahead ? 8 : 0;
     return cfg;
 }
 
@@ -156,6 +163,273 @@ TEST(Fastswap, ExportStats)
     fs.exportStats(set);
     EXPECT_EQ(set.get("fastswap.major_faults"), 1u);
     EXPECT_EQ(set.get("net.bytes_fetched"), 4096u);
+}
+
+/**
+ * One binding of the swap model behind a common face, so every case
+ * below runs against both. Both bindings use the paged plane's fixed
+ * 8-page readahead window.
+ */
+class SwapBinding
+{
+  public:
+    virtual ~SwapBinding() = default;
+    virtual std::uint64_t alloc(std::size_t bytes) = 0;
+    virtual void read(std::uint64_t addr, void *dst, std::size_t len) = 0;
+    virtual const SwapStats &stats() const = 0;
+    virtual std::uint64_t now() = 0;
+    virtual std::uint64_t bytesFetched() = 0;
+
+    std::uint64_t
+    load(std::uint64_t addr)
+    {
+        std::uint64_t value = 0;
+        read(addr, &value, sizeof(value));
+        return value;
+    }
+};
+
+class FastswapBinding : public SwapBinding
+{
+  public:
+    FastswapBinding(std::uint64_t slots, Observability *obs)
+        : fs(config(slots, obs), CostParams{})
+    {}
+    std::uint64_t alloc(std::size_t bytes) override
+    {
+        return fs.allocate(bytes);
+    }
+    void
+    read(std::uint64_t addr, void *dst, std::size_t len) override
+    {
+        fs.readBytes(addr, dst, len);
+    }
+    const SwapStats &stats() const override { return fs.stats(); }
+    std::uint64_t now() override { return fs.clock().now(); }
+    std::uint64_t
+    bytesFetched() override
+    {
+        return fs.netStats().bytesFetched;
+    }
+
+  private:
+    static FastswapConfig
+    config(std::uint64_t slots, Observability *obs)
+    {
+        FastswapConfig cfg = smallConfig(slots, /*readahead=*/true);
+        cfg.obs = obs;
+        return cfg;
+    }
+    FastswapRuntime fs;
+};
+
+class PagedBinding : public SwapBinding
+{
+  public:
+    PagedBinding(std::uint64_t slots, Observability *obs)
+        : rt(config(slots, obs), CostParams{})
+    {}
+    std::uint64_t alloc(std::size_t bytes) override
+    {
+        return rt.pagedMalloc(bytes);
+    }
+    void
+    read(std::uint64_t addr, void *dst, std::size_t len) override
+    {
+        rt.pagedRead(addr, dst, len);
+    }
+    const SwapStats &stats() const override
+    {
+        return rt.pagedPlane()->stats();
+    }
+    std::uint64_t now() override { return rt.clock().now(); }
+    std::uint64_t
+    bytesFetched() override
+    {
+        return rt.runtime().net().stats().bytesFetched;
+    }
+
+  private:
+    static RuntimeConfig
+    config(std::uint64_t slots, Observability *obs)
+    {
+        RuntimeConfig cfg;
+        cfg.farHeapBytes = 4 << 20;
+        cfg.localMemBytes = 64 << 10;
+        cfg.pagedLocalMemBytes = slots * 4096;
+        cfg.obs = obs;
+        return cfg;
+    }
+    TfmRuntime rt;
+};
+
+using BindingFactory = std::function<std::unique_ptr<SwapBinding>(
+    std::uint64_t slots, Observability *obs)>;
+
+struct BindingCase
+{
+    const char *name;
+    BindingFactory make;
+};
+
+class SwapBindingTest : public ::testing::TestWithParam<BindingCase>
+{
+  protected:
+    std::unique_ptr<SwapBinding>
+    make(std::uint64_t slots, Observability *obs = nullptr)
+    {
+        return GetParam().make(slots, obs);
+    }
+};
+
+TEST_P(SwapBindingTest, FirstTouchIsAMajorFault)
+{
+    auto b = make(16);
+    const std::uint64_t heap = b->alloc(64 * 4096);
+    b->load(heap);
+    EXPECT_EQ(b->stats().majorFaults, 1u);
+    EXPECT_EQ(b->stats().minorFaults, 0u);
+}
+
+TEST_P(SwapBindingTest, ResidentTouchCostsNothing)
+{
+    auto b = make(16);
+    const std::uint64_t heap = b->alloc(4096);
+    b->load(heap);
+    const std::uint64_t before = b->now();
+    b->load(heap + 8);
+    EXPECT_EQ(b->now(), before);
+}
+
+TEST_P(SwapBindingTest, ReadaheadTurnsMajorIntoMinorFaults)
+{
+    auto b = make(16);
+    const std::uint64_t heap = b->alloc(16 * 4096);
+    for (int i = 0; i < 8; i++)
+        b->load(heap + i * 4096);
+    EXPECT_EQ(b->stats().majorFaults, 1u);
+    EXPECT_EQ(b->stats().minorFaults, 7u);
+    EXPECT_EQ(b->stats().readaheads, 8u);
+}
+
+TEST_P(SwapBindingTest, ReclaimsAreCounted)
+{
+    // Two slots: every fault past the second must evict a page.
+    auto b = make(2);
+    const std::uint64_t heap = b->alloc(64 * 4096);
+    for (int i = 0; i < 8; i++)
+        b->load(heap + i * 8 * 4096);
+    const SwapStats &s = b->stats();
+    // Every placed page beyond the two slots displaced one.
+    EXPECT_EQ(s.reclaims, s.majorFaults + s.readaheads - 2);
+    EXPECT_GE(s.reclaims, 6u);
+}
+
+TEST_P(SwapBindingTest, WholePagesAreTransferred)
+{
+    auto b = make(16);
+    const std::uint64_t heap = b->alloc(4096);
+    std::uint8_t byte = 0;
+    b->read(heap, &byte, 1); // one byte touched...
+    // ...but every fault and readahead moves a full architected page.
+    const SwapStats &s = b->stats();
+    EXPECT_EQ(s.majorFaults, 1u);
+    EXPECT_EQ(b->bytesFetched(), 4096u * (s.majorFaults + s.readaheads));
+}
+
+TEST_P(SwapBindingTest, PageSpanningAccessFaultsOncePerPage)
+{
+    // One slot leaves no room for readahead, so both pages fault major.
+    auto b = make(1);
+    const std::uint64_t heap = b->alloc(2 * 4096);
+    std::uint8_t buffer[64];
+    b->read(heap + 4096 - 32, buffer, sizeof(buffer));
+    EXPECT_EQ(b->stats().majorFaults, 2u);
+    EXPECT_EQ(b->stats().readaheads, 0u);
+}
+
+/**
+ * Pin the CLOCK victim order on a 4-slot budget. Allocation sets the
+ * reference bit (readahead slots included) and the sweep clears set
+ * bits until it meets a clear one.
+ */
+TEST_P(SwapBindingTest, ClockVictimSequenceOnFourSlots)
+{
+    Observability obs;
+    auto b = make(4, &obs);
+    const std::uint64_t heap = b->alloc(64 * 4096);
+    // Page 0 faults; readahead fills slots 1-3 with pages 1-3.
+    b->load(heap);
+    b->load(heap + 1 * 4096); // minor fault
+    // Full sweep clears every bit and wraps: victim page 0 (slot 0).
+    b->load(heap + 8 * 4096);
+    b->load(heap + 2 * 4096); // minor fault, re-sets slot 2's bit
+    b->load(heap + 16 * 4096); // hand at slot 1: victim page 1
+    b->load(heap + 24 * 4096); // slot 2 referenced: victim page 3
+    b->load(heap + 32 * 4096); // slots 0, 1 referenced: victim page 2
+
+    std::vector<std::uint64_t> victims;
+    for (const TraceEvent &e : obs.trace().all()) {
+        if (std::string(e.name) != "reclaim")
+            continue;
+        ASSERT_STREQ(e.argName[0], "page");
+        victims.push_back(e.argValue[0]);
+    }
+    const std::uint64_t base = tfmOffsetOf(heap) / 4096;
+    EXPECT_EQ(victims, (std::vector<std::uint64_t>{base + 0, base + 1,
+                                                   base + 3, base + 2}));
+    EXPECT_EQ(b->stats().majorFaults, 5u);
+    EXPECT_EQ(b->stats().minorFaults, 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SwapBindings, SwapBindingTest,
+    ::testing::Values(
+        BindingCase{"Fastswap",
+                    [](std::uint64_t slots, Observability *obs) {
+                        return std::make_unique<FastswapBinding>(slots, obs);
+                    }},
+        BindingCase{"Paged",
+                    [](std::uint64_t slots, Observability *obs) {
+                        return std::make_unique<PagedBinding>(slots, obs);
+                    }}),
+    [](const ::testing::TestParamInfo<BindingCase> &info) {
+        return std::string(info.param.name);
+    });
+
+/**
+ * `__evacuate_all` drops paged residency like the guard plane's
+ * evacuation: unmetered, so a cold-start measurement begins with the
+ * clock and link exactly where they were.
+ */
+TEST(PagedPlane, EvacuateIsUnmetered)
+{
+    RuntimeConfig cfg;
+    cfg.farHeapBytes = 4 << 20;
+    cfg.localMemBytes = 64 << 10;
+    TfmRuntime rt(cfg, CostParams{});
+    const std::uint64_t arr = rt.pagedMalloc(8 * 4096);
+    for (std::uint64_t page = 0; page < 8; page++) {
+        const std::uint64_t value = page;
+        rt.pagedWrite(arr + page * 4096, &value, sizeof(value));
+    }
+    ASSERT_GT(rt.pagedPlane()->residentPages(), 0u);
+
+    StatSet before;
+    rt.exportStats(before);
+    const std::uint64_t clockBefore = rt.clock().now();
+    rt.evacuatePaged();
+    StatSet after;
+    rt.exportStats(after);
+
+    EXPECT_EQ(rt.clock().now(), clockBefore);
+    EXPECT_EQ(after.get("net.bytes_written_back"),
+              before.get("net.bytes_written_back"));
+    EXPECT_EQ(rt.pagedPlane()->residentPages(), 0u);
+    // The data never left the far heap.
+    std::uint64_t value = 0;
+    rt.pagedRead(arr + 5 * 4096, &value, sizeof(value));
+    EXPECT_EQ(value, 5u);
 }
 
 } // namespace

@@ -88,7 +88,6 @@ TEST(FastswapMisc, EvacuateAllFlushesReadaheadState)
     FastswapConfig cfg;
     cfg.farHeapBytes = 1 << 20;
     cfg.localMemBytes = 64 << 10;
-    cfg.readaheadEnabled = true;
     FastswapRuntime fs(cfg, CostParams{});
     const std::uint64_t heap = fs.allocate(512 << 10);
     fs.store<std::uint64_t>(heap, 99); // major fault + readahead

@@ -8,6 +8,15 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build}"
 
+# Tiers skipped for a missing tool or an opt-out. Each is announced
+# where it happens and listed again in the final line, so a partial run
+# never reads like a full one.
+SKIPPED=()
+skip_tier() {
+    echo "check_build: $1 skipped ($2)"
+    SKIPPED+=("$1 ($2)")
+}
+
 cmake -B "${BUILD_DIR}" -S . -DTFM_WERROR=ON
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
@@ -20,7 +29,8 @@ TRACE_FILE="${BUILD_DIR}/smoke_trace.json"
 if command -v python3 > /dev/null; then
     python3 tools/validate_trace.py "${TRACE_FILE}"
 else
-    echo "check_build: python3 not found; skipping trace validation"
+    skip_tier "trace validation and other python3 checks" \
+        "python3 not found"
 fi
 "${BUILD_DIR}/tools/tfm-stat" "${TRACE_FILE}" > /dev/null
 echo "check_build: trace smoke test OK"
@@ -50,7 +60,7 @@ if command -v clang-tidy > /dev/null; then
     clang-tidy -p "${BUILD_DIR}" --quiet "${LINT_SOURCES[@]}"
     echo "check_build: clang-tidy lint tier OK"
 else
-    echo "check_build: clang-tidy not found; skipping lint tier"
+    skip_tier "clang-tidy lint tier" "clang-tidy not found"
 fi
 
 # Hybrid data-plane gate (DESIGN.md §4l): every example must compile
@@ -282,7 +292,7 @@ if [ "${TFM_SANITIZE}" != "off" ]; then
         -j "$(nproc)"
     echo "check_build: sanitizer (${TFM_SANITIZE}) suite OK"
 else
-    echo "check_build: sanitizer pass skipped (TFM_SANITIZE=off)"
+    skip_tier "sanitizer pass" "TFM_SANITIZE=off"
 fi
 
 # ThreadSanitizer pass: rebuild with -DTFM_TSAN=ON (thread does not
@@ -300,7 +310,12 @@ if [ "${TFM_TSAN}" != "off" ]; then
         --requests=400 --loads=0.5,2.0 > /dev/null
     echo "check_build: thread-sanitizer concurrency suite OK"
 else
-    echo "check_build: thread-sanitizer pass skipped (TFM_TSAN=off)"
+    skip_tier "thread-sanitizer pass" "TFM_TSAN=off"
 fi
 
-echo "check_build: OK"
+if [ "${#SKIPPED[@]}" -eq 0 ]; then
+    echo "check_build: OK (no tier skipped)"
+else
+    printf -v SKIP_LIST '%s; ' "${SKIPPED[@]}"
+    echo "check_build: OK, but skipped: ${SKIP_LIST%; }"
+fi
