@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <new>
 
 #include "obs/obs.hh"
 #include "sim/logging.hh"
@@ -31,20 +32,30 @@ observeServe(const NetworkModel &net, const char *name, std::uint64_t at,
 
 } // anonymous namespace
 
+RemoteNode::RemoteNode(std::uint64_t capacityBytes)
+    // calloc(0) may return null; one byte keeps a valid pointer.
+    : store(static_cast<std::byte *>(
+          std::calloc(capacityBytes ? capacityBytes : 1, 1))),
+      _capacity(capacityBytes)
+{
+    if (!store)
+        throw std::bad_alloc();
+}
+
 void
 RemoteNode::checkRange(std::uint64_t offset, std::size_t len) const
 {
     // Overflow-safe: a segment list is built offset-by-offset, so a bad
     // entry must name itself — multi-object messages would otherwise
     // die without saying which of their segments straddled the end.
-    if (offset <= store.size() && len <= store.size() - offset)
+    if (offset <= _capacity && len <= _capacity - offset)
         return;
     char msg[128];
     std::snprintf(msg, sizeof(msg),
                   "remote access out of backing-store range: offset %llu "
                   "len %zu capacity %zu",
                   static_cast<unsigned long long>(offset), len,
-                  store.size());
+                  static_cast<std::size_t>(_capacity));
     TFM_PANIC(msg);
 }
 
@@ -54,7 +65,7 @@ RemoteNode::fetch(NetworkModel &net, std::uint64_t offset, std::byte *dst,
 {
     checkRange(offset, len);
     net.fetchSync(len);
-    std::memcpy(dst, store.data() + offset, len);
+    std::memcpy(dst, store.get() + offset, len);
     _stats.fetchRequests++;
     _stats.fetchPayloads++;
     observeServe(net, "remote.fetch", net.now(), 1);
@@ -66,7 +77,7 @@ RemoteNode::fetchAsync(NetworkModel &net, std::uint64_t offset,
 {
     checkRange(offset, len);
     const std::uint64_t arrival = net.fetchAsync(len);
-    std::memcpy(dst, store.data() + offset, len);
+    std::memcpy(dst, store.get() + offset, len);
     _stats.fetchRequests++;
     _stats.fetchPayloads++;
     observeServe(net, "remote.fetch", net.now(), 1);
@@ -98,7 +109,7 @@ RemoteNode::fetchBatchAsync(NetworkModel &net,
             total, static_cast<std::uint32_t>(segs.size()));
     }
     for (const RemoteFetchSeg &seg : segs)
-        std::memcpy(seg.dst, store.data() + seg.offset, seg.len);
+        std::memcpy(seg.dst, store.get() + seg.offset, seg.len);
     _stats.fetchRequests++;
     _stats.fetchPayloads += segs.size();
     observeServe(net, "remote.fetch", net.now(), segs.size());
@@ -111,7 +122,7 @@ RemoteNode::writeback(NetworkModel &net, std::uint64_t offset,
 {
     checkRange(offset, len);
     net.writebackAsync(len);
-    std::memcpy(store.data() + offset, src, len);
+    std::memcpy(store.get() + offset, src, len);
     _stats.writebackRequests++;
     _stats.writebackPayloads++;
     observeServe(net, "remote.writeback", net.now(), 1);
@@ -129,7 +140,7 @@ RemoteNode::writebackBatch(NetworkModel &net,
     }
     net.writebackBatch(total, static_cast<std::uint32_t>(segs.size()));
     for (const RemoteWriteSeg &seg : segs)
-        std::memcpy(store.data() + seg.offset, seg.src, seg.len);
+        std::memcpy(store.get() + seg.offset, seg.src, seg.len);
     _stats.writebackRequests++;
     _stats.writebackPayloads += segs.size();
     observeServe(net, "remote.writeback", net.now(), segs.size());
@@ -140,7 +151,7 @@ RemoteNode::rawWrite(std::uint64_t offset, const std::byte *src,
                      std::size_t len)
 {
     checkRange(offset, len);
-    std::memcpy(store.data() + offset, src, len);
+    std::memcpy(store.get() + offset, src, len);
 }
 
 void
@@ -148,7 +159,7 @@ RemoteNode::rawRead(std::uint64_t offset, std::byte *dst,
                     std::size_t len) const
 {
     checkRange(offset, len);
-    std::memcpy(dst, store.data() + offset, len);
+    std::memcpy(dst, store.get() + offset, len);
 }
 
 } // namespace tfm

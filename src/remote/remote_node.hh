@@ -15,6 +15,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "net/network_model.hh"
@@ -65,15 +67,18 @@ struct RemoteWriteSeg
  * store into a local frame; writes (writeback) copy a local frame into
  * the store. Network accounting is the caller's job via the helpers that
  * take the NetworkModel, keeping the store itself transport-agnostic.
+ *
+ * The store starts zeroed but is not zero-filled up front: it comes from
+ * calloc, which for a large store maps fresh zero pages that the host
+ * faults in on first touch. A store sized for a whole far heap costs
+ * only the bytes the run actually writes or reads.
  */
 class RemoteNode
 {
   public:
-    explicit RemoteNode(std::uint64_t capacityBytes)
-        : store(capacityBytes, std::byte{0})
-    {}
+    explicit RemoteNode(std::uint64_t capacityBytes);
 
-    std::uint64_t capacity() const { return store.size(); }
+    std::uint64_t capacity() const { return _capacity; }
 
     /**
      * Synchronously fetch @p len bytes at @p offset into @p dst, paying
@@ -133,7 +138,13 @@ class RemoteNode
   private:
     void checkRange(std::uint64_t offset, std::size_t len) const;
 
-    std::vector<std::byte> store;
+    struct FreeDeleter
+    {
+        void operator()(std::byte *p) const { std::free(p); }
+    };
+
+    std::unique_ptr<std::byte[], FreeDeleter> store;
+    std::uint64_t _capacity;
     RemoteStats _stats;
 };
 

@@ -1,5 +1,7 @@
 #include "region_allocator.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace tfm
@@ -13,28 +15,30 @@ RegionAllocator::RegionAllocator(std::uint64_t heap_bytes,
                "object size must be a power of two");
 }
 
-std::uint64_t
-RegionAllocator::classify(std::uint64_t bytes)
+unsigned
+RegionAllocator::classLog2(std::uint64_t bytes)
 {
     // Size classes are powers of two starting at 16 bytes.
-    std::uint64_t size = 16;
-    while (size < bytes)
-        size <<= 1;
-    return size;
+    return bytes <= (1ull << granuleShift)
+               ? granuleShift
+               : static_cast<unsigned>(std::bit_width(bytes - 1));
 }
 
 std::uint64_t
 RegionAllocator::allocate(std::uint64_t bytes)
 {
-    if (bytes == 0)
-        bytes = 1;
-    const std::uint64_t rounded = classify(bytes);
+    // No block of a class this large can exist or fit; checking first
+    // also keeps the class shift below 64 bits.
+    if (bytes > _heapBytes)
+        return badOffset;
+    const unsigned lg = classLog2(bytes);
+    const std::uint64_t rounded = 1ull << lg;
 
-    auto it = freeLists.find(rounded);
-    if (it != freeLists.end() && !it->second.empty()) {
-        const std::uint64_t offset = it->second.back();
-        it->second.pop_back();
-        liveSizes[offset] = rounded;
+    std::vector<std::uint64_t> &free_list = freeLists[lg];
+    if (!free_list.empty()) {
+        const std::uint64_t offset = free_list.back();
+        free_list.pop_back();
+        liveLog2[offset >> granuleShift] = static_cast<std::uint8_t>(lg + 1);
         _stats.allocations++;
         _stats.bytesAllocated += rounded;
         return offset;
@@ -43,7 +47,8 @@ RegionAllocator::allocate(std::uint64_t bytes)
     // Align every block to min(size class, object size). Large blocks
     // start on an object boundary and span whole objects; small blocks
     // are naturally aligned, which also guarantees they never straddle
-    // an object boundary.
+    // an object boundary. Class sizes are multiples of 16, so the
+    // frontier, and with it every block, stays granule-aligned.
     const std::uint64_t align =
         rounded < objSize ? rounded : static_cast<std::uint64_t>(objSize);
     const std::uint64_t offset = (bump + align - 1) & ~(align - 1);
@@ -51,7 +56,8 @@ RegionAllocator::allocate(std::uint64_t bytes)
         return badOffset;
 
     bump = offset + rounded;
-    liveSizes[offset] = rounded;
+    liveLog2.resize(bump >> granuleShift);
+    liveLog2[offset >> granuleShift] = static_cast<std::uint8_t>(lg + 1);
     _stats.allocations++;
     _stats.bytesAllocated += rounded;
     return offset;
@@ -60,11 +66,11 @@ RegionAllocator::allocate(std::uint64_t bytes)
 void
 RegionAllocator::deallocate(std::uint64_t offset)
 {
-    auto it = liveSizes.find(offset);
-    TFM_ASSERT(it != liveSizes.end(), "free of unknown far pointer");
-    const std::uint64_t rounded = it->second;
-    liveSizes.erase(it);
-    freeLists[rounded].push_back(offset);
+    const std::uint64_t rounded = sizeOf(offset);
+    TFM_ASSERT(rounded != 0, "free of unknown far pointer");
+    const unsigned lg = liveLog2[offset >> granuleShift] - 1u;
+    liveLog2[offset >> granuleShift] = 0;
+    freeLists[lg].push_back(offset);
     _stats.frees++;
     _stats.bytesFreed += rounded;
 }
@@ -72,8 +78,11 @@ RegionAllocator::deallocate(std::uint64_t offset)
 std::uint64_t
 RegionAllocator::sizeOf(std::uint64_t offset) const
 {
-    auto it = liveSizes.find(offset);
-    return it == liveSizes.end() ? 0 : it->second;
+    const std::uint64_t granule = offset >> granuleShift;
+    if ((offset & ((1ull << granuleShift) - 1)) != 0 ||
+        granule >= liveLog2.size() || liveLog2[granule] == 0)
+        return 0;
+    return 1ull << (liveLog2[granule] - 1u);
 }
 
 } // namespace tfm

@@ -17,8 +17,8 @@
 #ifndef TRACKFM_RUNTIME_REGION_ALLOCATOR_HH
 #define TRACKFM_RUNTIME_REGION_ALLOCATOR_HH
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace tfm
@@ -70,17 +70,21 @@ class RegionAllocator
     static constexpr std::uint64_t badOffset = ~0ull;
 
   private:
-    /// Round a small request up to its size class.
-    static std::uint64_t classify(std::uint64_t bytes);
+    /// Every block starts on a 16-byte granule (the smallest class).
+    static constexpr unsigned granuleShift = 4;
+
+    /// log2 of the size class a request rounds up to (at least 4).
+    static unsigned classLog2(std::uint64_t bytes);
 
     std::uint64_t _heapBytes;
     std::uint32_t objSize;
     std::uint64_t bump = 0;
     AllocStats _stats;
-    /// size class -> freed offsets of exactly that (rounded) size
-    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> freeLists;
-    /// live allocation sizes (rounded) for deallocate()
-    std::unordered_map<std::uint64_t, std::uint64_t> liveSizes;
+    /// log2(size class) -> freed offsets of exactly that class (LIFO)
+    std::array<std::vector<std::uint64_t>, 64> freeLists;
+    /// One byte per granule below the frontier: log2(size class) + 1 of
+    /// the live block starting there, 0 where no live block starts.
+    std::vector<std::uint8_t> liveLog2;
 };
 
 } // namespace tfm

@@ -21,6 +21,11 @@ namespace tfm
  * sampling; n in this reproduction is at most a few million so the table
  * is cheap. The paper uses skews between 1.0 and 1.3 (Fig. 16) and 1.02
  * (Fig. 9/13).
+ *
+ * A guide table narrows each search to the CDF entries that share the
+ * draw's bucket (see next()), so a draw costs O(1) expected time instead
+ * of a binary search over the whole table, and returns exactly the index
+ * the full search would: the random stream is unchanged.
  */
 class ZipfGenerator
 {
@@ -46,6 +51,9 @@ class ZipfGenerator
     Rng rng;
     /// cdf[k] = P(X <= k); monotone in [0, 1].
     std::vector<double> cdf;
+    /// guide[j] = #{k : bucket(cdf[k]) < j} for j in [0, n + 1], where
+    /// bucket(x) = min(trunc(x * n), n).
+    std::vector<std::uint32_t> guide;
 };
 
 } // namespace tfm

@@ -27,13 +27,13 @@ MemcachedWorkload::MemcachedWorkload(MemBackend &backend,
     while (numBuckets < params.numKeys * 2)
         numBuckets <<= 1;
     indexAddr = b.alloc(numBuckets * sizeof(Bucket));
-    const Bucket empty{0, 0};
-    for (std::uint64_t i = 0; i < numBuckets; i++)
-        b.initWrite(indexAddr + i * sizeof(Bucket), &empty, sizeof(Bucket));
     footprint = numBuckets * sizeof(Bucket);
 
     // Populate items with USR-style sizes (unmetered setup). Values are
     // a repeating byte derived from the key so gets can be verified.
+    // The index is built host-side, probing in insertion order, and
+    // written with one initWrite at the end.
+    std::vector<Bucket> index(numBuckets, Bucket{0, 0});
     UsrSizeDist sizes(params.seed);
     std::vector<std::uint8_t> value(512);
     for (std::uint64_t k = 0; k < params.numKeys; k++) {
@@ -50,22 +50,11 @@ MemcachedWorkload::MemcachedWorkload(MemBackend &backend,
                     s.valueBytes);
 
         std::uint64_t slot = hashKey(k) & (numBuckets - 1);
-        while (true) {
-            Bucket bucket;
-            b.initRead(indexAddr + slot * sizeof(Bucket), &bucket,
-                       sizeof(bucket));
-            if (bucket.itemAddr == 0) {
-                const Bucket fresh{item, hashKey(k)};
-                b.initWrite(indexAddr + slot * sizeof(Bucket), &fresh,
-                            sizeof(fresh));
-                break;
-            }
+        while (index[slot].itemAddr != 0)
             slot = (slot + 1) & (numBuckets - 1);
-        }
+        index[slot] = Bucket{item, hashKey(k)};
     }
-
-    keySampler = std::make_unique<ZipfGenerator>(
-        params.numKeys, params.zipfSkew, params.seed);
+    b.initWrite(indexAddr, index.data(), numBuckets * sizeof(Bucket));
     b.dropCaches();
 }
 
@@ -162,6 +151,10 @@ MemcachedWorkload::set(std::uint64_t key, const void *value,
 MemcachedResult
 MemcachedWorkload::run()
 {
+    if (!keySampler) {
+        keySampler = std::make_unique<ZipfGenerator>(
+            params.numKeys, params.zipfSkew, params.seed);
+    }
     MemcachedResult result;
     std::uint8_t value[512];
     const BackendSnapshot before = snapshot(b);

@@ -59,6 +59,10 @@ class MemcachedWorkload
     MemcachedWorkload(MemBackend &backend, const MemcachedParams &params);
 
     std::uint64_t workingSetBytes() const { return footprint; }
+    /// Handle of the hash index: bucketCount() 16-byte buckets of
+    /// {item handle, key fingerprint}, item handle 0 when empty.
+    std::uint64_t indexAddress() const { return indexAddr; }
+    std::uint64_t bucketCount() const { return numBuckets; }
 
     /** Run the get trace. */
     MemcachedResult run();
@@ -93,8 +97,8 @@ class MemcachedWorkload
     std::uint64_t numBuckets;
     std::uint64_t indexAddr = 0;
     std::uint64_t footprint = 0;
-    /// Client-side key sampler; every run() draws a fresh trace, as a
-    /// real load generator would.
+    /// Client-side key sampler, built on the first run(); every run()
+    /// draws a fresh trace, as a real load generator would.
     std::unique_ptr<ZipfGenerator> keySampler;
 };
 

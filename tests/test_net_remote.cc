@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -282,6 +283,26 @@ TEST(RemoteNode, AsyncFetchReportsArrival)
     const std::uint64_t arrival =
         node.fetchAsync(net, 0, out.data(), out.size());
     EXPECT_GT(arrival, clock.now());
+}
+
+TEST(RemoteNode, UntouchedBytesReadAsZero)
+{
+    const std::uint64_t cap = 64ull << 20;
+    RemoteNode node(cap);
+    EXPECT_EQ(node.capacity(), cap);
+    std::vector<std::byte> pattern(4096, std::byte{0xab});
+    node.rawWrite(cap / 2, pattern.data(), pattern.size());
+
+    std::vector<std::byte> out(8192, std::byte{0xff});
+    const std::vector<std::byte> zeros(out.size(), std::byte{0});
+    for (const std::uint64_t at :
+         {std::uint64_t{0}, cap / 2 - out.size(), cap / 2 + pattern.size(),
+          cap - out.size()}) {
+        node.rawRead(at, out.data(), out.size());
+        EXPECT_EQ(out, zeros) << "offset " << at;
+    }
+    node.rawRead(cap / 2, out.data(), pattern.size());
+    EXPECT_TRUE(std::equal(pattern.begin(), pattern.end(), out.begin()));
 }
 
 TEST(RemoteNodeDeath, OutOfRangeAccessPanics)

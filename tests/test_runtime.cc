@@ -135,6 +135,83 @@ TEST(RegionAllocator, BytesInUseTracksAllocations)
     EXPECT_EQ(alloc.bytesInUse(), 0u);
 }
 
+TEST(RegionAllocator, SizeOfIsZeroOffBlockStarts)
+{
+    RegionAllocator alloc(1 << 20, 4096);
+    const std::uint64_t a = alloc.allocate(64);
+    const std::uint64_t b = alloc.allocate(16);
+    ASSERT_EQ(a, 0u);
+    ASSERT_EQ(b, 64u);
+    EXPECT_EQ(alloc.sizeOf(a), 64u);
+    EXPECT_EQ(alloc.sizeOf(b), 16u);
+    EXPECT_EQ(alloc.sizeOf(a + 16), 0u); // interior granule
+    EXPECT_EQ(alloc.sizeOf(a + 48), 0u);
+    EXPECT_EQ(alloc.sizeOf(a + 8), 0u); // not granule-aligned
+    EXPECT_EQ(alloc.sizeOf(b + 1), 0u);
+    EXPECT_EQ(alloc.sizeOf(alloc.frontier()), 0u); // one past the frontier
+    EXPECT_EQ(alloc.sizeOf(alloc.frontier() + 4096), 0u);
+    EXPECT_EQ(alloc.sizeOf(~0ull & ~15ull), 0u);
+    alloc.deallocate(b);
+    EXPECT_EQ(alloc.sizeOf(b), 0u); // freed
+}
+
+TEST(RegionAllocatorDeath, FreeOfInteriorOffsetPanics)
+{
+    RegionAllocator alloc(1 << 20, 4096);
+    const std::uint64_t a = alloc.allocate(256);
+    EXPECT_DEATH(alloc.deallocate(a + 16), "free of unknown far pointer");
+    EXPECT_DEATH(alloc.deallocate(a + 1), "free of unknown far pointer");
+    alloc.deallocate(a);
+    EXPECT_DEATH(alloc.deallocate(a), "free of unknown far pointer");
+}
+
+TEST(RegionAllocator, ReuseIsLifoPerSizeClass)
+{
+    RegionAllocator alloc(1 << 20, 4096);
+    std::vector<std::uint64_t> small, large;
+    for (int i = 0; i < 4; i++) {
+        small.push_back(alloc.allocate(20)); // 32 B class
+        large.push_back(alloc.allocate(200)); // 256 B class
+    }
+    EXPECT_EQ(small, (std::vector<std::uint64_t>{0, 512, 1024, 1536}));
+    EXPECT_EQ(large, (std::vector<std::uint64_t>{256, 768, 1280, 1792}));
+    for (const int i : {1, 3, 0})
+        alloc.deallocate(small[i]);
+    for (const int i : {2, 0})
+        alloc.deallocate(large[i]);
+    // Each class pops its own freed offsets, most recent first; a class
+    // with nothing free extends the frontier.
+    EXPECT_EQ(alloc.allocate(256), large[0]);
+    EXPECT_EQ(alloc.allocate(17), small[0]);
+    EXPECT_EQ(alloc.allocate(32), small[3]);
+    EXPECT_EQ(alloc.allocate(129), large[2]);
+    EXPECT_EQ(alloc.allocate(64), 2048u);
+    EXPECT_EQ(alloc.allocate(30), small[1]);
+    EXPECT_EQ(alloc.allocate(31), 2112u);
+    EXPECT_EQ(alloc.allocate(250), 2304u);
+    EXPECT_EQ(alloc.stats().allocations, 16u);
+    EXPECT_EQ(alloc.stats().frees, 5u);
+}
+
+TEST(RegionAllocator, LargeBlockThenSmallBlocks)
+{
+    RegionAllocator alloc(64ull << 20, 4096);
+    const std::uint64_t big = alloc.allocate(32ull << 20);
+    EXPECT_EQ(big, 0u);
+    EXPECT_EQ(alloc.sizeOf(big), 32ull << 20);
+    EXPECT_EQ(alloc.allocate(1), 32ull << 20);
+    EXPECT_EQ(alloc.allocate(100), (32ull << 20) + 128);
+    EXPECT_EQ(alloc.allocate(5000), (32ull << 20) + 4096);
+    EXPECT_EQ(alloc.frontier(), (32ull << 20) + 4096 + 8192);
+    EXPECT_EQ(alloc.sizeOf((32ull << 20) - 16), 0u); // inside the big block
+    alloc.deallocate(big);
+    EXPECT_EQ(alloc.allocate((16ull << 20) + 1), big); // same 32 MB class
+    EXPECT_EQ(alloc.allocate(32ull << 20), RegionAllocator::badOffset);
+    EXPECT_EQ(alloc.allocate(128ull << 20), RegionAllocator::badOffset);
+    EXPECT_EQ(alloc.allocate(~0ull), RegionAllocator::badOffset);
+    EXPECT_EQ(alloc.bytesInUse(), (32ull << 20) + 16 + 128 + 8192);
+}
+
 TEST(FrameCache, AllocatesUntilFull)
 {
     FrameCache cache(4 * 4096, 4096);

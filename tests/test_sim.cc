@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <sstream>
@@ -170,6 +171,66 @@ TEST(Zipf, FrequenciesMatchThetaExponent)
                          static_cast<double>(counts[9]);
     const double expected_ratio = std::pow(10.0, theta);
     EXPECT_NEAR(ratio, expected_ratio, 0.2 * expected_ratio);
+}
+
+/**
+ * The guide-table search must return exactly what a full lower_bound
+ * over the CDF returns, draw for draw: the reference below rebuilds the
+ * CDF with the generator's loop and searches all of it, on an Rng with
+ * the same seed. Covers a one-rank domain, a uniform one, and the
+ * shapes the benches draw from.
+ */
+TEST(Zipf, GuideTableMatchesFullSearch)
+{
+    struct Case
+    {
+        std::uint64_t n;
+        double skew;
+    };
+    const Case cases[] = {{1, 1.02}, {7, 0.0}, {1000, 0.99},
+                          {1'000'000, 1.02}};
+    for (const Case &c : cases) {
+        std::vector<double> cdf(c.n);
+        double sum = 0.0;
+        for (std::uint64_t k = 0; k < c.n; k++) {
+            sum += 1.0 / std::pow(static_cast<double>(k + 1), c.skew);
+            cdf[k] = sum;
+        }
+        const double inv = 1.0 / sum;
+        for (auto &p : cdf)
+            p *= inv;
+
+        for (const std::uint64_t seed : {42ull, 1009ull}) {
+            ZipfGenerator zipf(c.n, c.skew, seed);
+            Rng rng(seed);
+            std::uint64_t mismatches = 0;
+            for (int i = 0; i < 1'000'000; i++) {
+                const double u = rng.uniform();
+                const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+                const std::uint64_t expected =
+                    it == cdf.end() ? c.n - 1
+                                    : static_cast<std::uint64_t>(
+                                          it - cdf.begin());
+                mismatches += zipf.next() != expected;
+            }
+            EXPECT_EQ(mismatches, 0u)
+                << "n " << c.n << " skew " << c.skew << " seed " << seed;
+        }
+    }
+}
+
+TEST(Zipf, FirstDrawsArePinned)
+{
+    // Recorded with a full-table binary search; every bench table
+    // depends on this stream.
+    const std::vector<std::uint64_t> expected = {
+        1,     81,    6284,  289301, 872416, 24736, 11387, 87102,
+        21734, 1494,  6517,  23,     40251,  36,    10064, 135624};
+    ZipfGenerator zipf(1'000'000, 1.02, 42);
+    std::vector<std::uint64_t> draws;
+    for (std::size_t i = 0; i < expected.size(); i++)
+        draws.push_back(zipf.next());
+    EXPECT_EQ(draws, expected);
 }
 
 TEST(UsrDist, SizesMatchUsrPool)

@@ -182,6 +182,80 @@ TEST(MemcachedWorkload, SetThenGetRoundTrip)
     EXPECT_EQ(std::memcmp(out, payload, 5), 0);
 }
 
+/** FNV-1a over @p len bytes, continuing from @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, const void *data, std::size_t len)
+{
+    const auto *bytes = static_cast<const std::uint8_t *>(data);
+    for (std::size_t i = 0; i < len; i++) {
+        h ^= bytes[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/**
+ * The store's far-heap image and set-up cycles are part of every
+ * memcached result: pin both per backend. The hash covers the whole
+ * index, then each item (header, key and value bytes) in bucket order.
+ */
+TEST(MemcachedWorkload, FillImageIsPinned)
+{
+    struct Pin
+    {
+        SystemKind kind;
+        std::uint64_t hash;
+        std::uint64_t cycles;
+    };
+    const Pin pins[] = {
+        {SystemKind::Local, 0x618dd389d567fca6ull, 2400120},
+        {SystemKind::TrackFm, 0x61c99a8bf8f2c8bcull, 2400120},
+        {SystemKind::Fastswap, 0x618dd389d567fca6ull, 2400120},
+    };
+    MemcachedParams params;
+    params.numKeys = 20000;
+    params.seed = 13;
+    for (const Pin &pin : pins) {
+        auto cfg = baseConfig(pin.kind);
+        if (pin.kind == SystemKind::TrackFm)
+            cfg.objectSizeBytes = 64;
+        auto backend = makeBackend(cfg, CostParams{});
+        MemcachedWorkload workload(*backend, params);
+        const std::uint64_t cycles = backend->cycles();
+
+        struct Bucket
+        {
+            std::uint64_t itemAddr;
+            std::uint64_t keyFingerprint;
+        };
+        std::vector<Bucket> index(workload.bucketCount());
+        backend->initRead(workload.indexAddress(), index.data(),
+                          index.size() * sizeof(Bucket));
+        std::uint64_t h = fnv1a(0xcbf29ce484222325ull, index.data(),
+                                index.size() * sizeof(Bucket));
+        std::uint64_t items = 0;
+        std::vector<std::uint8_t> item;
+        for (const Bucket &bucket : index) {
+            if (bucket.itemAddr == 0)
+                continue;
+            struct
+            {
+                std::uint64_t key;
+                std::uint32_t keyLen;
+                std::uint32_t valueLen;
+            } header;
+            backend->initRead(bucket.itemAddr, &header, sizeof(header));
+            item.resize(sizeof(header) + header.keyLen + header.valueLen);
+            backend->initRead(bucket.itemAddr, item.data(), item.size());
+            h = fnv1a(h, item.data(), item.size());
+            items++;
+        }
+        EXPECT_EQ(items, params.numKeys) << systemName(pin.kind);
+        EXPECT_EQ(h, pin.hash) << systemName(pin.kind);
+        EXPECT_EQ(cycles, pin.cycles) << systemName(pin.kind);
+    }
+}
+
 TEST(DataframeWorkload, AnswersMatchReferenceOnEveryBackend)
 {
     DataframeParams params;

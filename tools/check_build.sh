@@ -50,6 +50,17 @@ for example in examples/*.tir; do
 done
 echo "check_build: example programs OK (both engines)"
 
+# Bench golden gate: simulated cycles are deterministic, so a bench's
+# whole table is an exact regression oracle. Fig. 16's output must stay
+# byte-identical to the checked-in copy (default seed, so TFM_SEED is
+# cleared). A change that moves the table on purpose regenerates the
+# file with the same command and says so in CHANGES.md.
+env -u TFM_SEED "${BUILD_DIR}/bench/bench_fig16_memcached" \
+    > "${BUILD_DIR}/bench_fig16_memcached.out"
+cmp "${BUILD_DIR}/bench_fig16_memcached.out" \
+    tests/golden/bench_fig16_memcached.txt
+echo "check_build: bench golden gate (Fig. 16) OK"
+
 # Lint tier: clang-tidy with the checked-in .clang-tidy configs
 # (bugprone-* and performance-* everywhere; src/serve and src/runtime
 # additionally enable concurrency-mt-unsafe via InheritParentConfig)
