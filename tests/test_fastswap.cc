@@ -9,6 +9,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -271,6 +272,14 @@ struct BindingCase
     const char *name;
     BindingFactory make;
 };
+
+// Without a printer gtest dumps the case's raw bytes, pointers included,
+// and CTest bakes that dump into the test names at discovery time.
+void
+PrintTo(const BindingCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class SwapBindingTest : public ::testing::TestWithParam<BindingCase>
 {
