@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 
 namespace tfm
 {
@@ -38,6 +39,11 @@ namespace tfm
  * for direct access iff present is set and inflight is clear — the same
  * "certain bits cleared" test the paper lowers to one x86 test
  * instruction (Fig. 4b line 6).
+ *
+ * The word is a plain uint64_t accessed only through std::atomic_ref, so
+ * ObjectStateTable can take its entries straight from calloc: the
+ * all-zero word is the remote, clean state, and the class is an
+ * implicit-lifetime type (trivial copy constructor and destructor).
  */
 class ObjectMeta
 {
@@ -68,19 +74,19 @@ class ObjectMeta
     void
     makeLocal(std::uint64_t frame_idx)
     {
-        bits.store(presentBit | (frame_idx & frameMask));
+        word().store(presentBit | (frame_idx & frameMask));
     }
 
-    void makeRemote() { bits.store(0); }
+    void makeRemote() { word().store(0); }
 
-    void setDirty() { bits.fetch_or(dirtyBit); }
-    void clearDirty() { bits.fetch_and(~dirtyBit); }
-    void setInflight() { bits.fetch_or(inflightBit); }
-    void clearInflight() { bits.fetch_and(~inflightBit); }
-    void setPinned() { bits.fetch_or(pinnedBit); }
-    void clearPinned() { bits.fetch_and(~pinnedBit); }
-    void setHot() { bits.fetch_or(hotBit); }
-    void clearHot() { bits.fetch_and(~hotBit); }
+    void setDirty() { word().fetch_or(dirtyBit); }
+    void clearDirty() { word().fetch_and(~dirtyBit); }
+    void setInflight() { word().fetch_or(inflightBit); }
+    void clearInflight() { word().fetch_and(~inflightBit); }
+    void setPinned() { word().fetch_or(pinnedBit); }
+    void clearPinned() { word().fetch_and(~pinnedBit); }
+    void setHot() { word().fetch_or(hotBit); }
+    void clearHot() { word().fetch_and(~hotBit); }
 
     /**
      * One coherent snapshot of the word. The concurrent guard fast path
@@ -88,7 +94,12 @@ class ObjectMeta
      * single value — two separate loads could straddle an eviction and
      * pair a stale frame index with a fresh safety bit.
      */
-    std::uint64_t raw() const { return bits.load(); }
+    std::uint64_t
+    raw() const
+    {
+        // atomic_ref<const T> is C++26; a load never writes the word.
+        return std::atomic_ref(const_cast<std::uint64_t &>(bits)).load();
+    }
 
     /** @name Decode helpers for a raw() snapshot
      * @{ */
@@ -104,16 +115,22 @@ class ObjectMeta
     /** @} */
 
   private:
+    std::atomic_ref<std::uint64_t> word() { return std::atomic_ref(bits); }
+
     /**
      * seq_cst throughout: the epoch-reclamation proof in DESIGN.md §4k
      * relies on a single total order over meta publications, epoch
      * bumps, and worker epoch-slot stores. On x86 the loads compile to
      * plain movs, so the single-thread fast path is unchanged.
      */
-    std::atomic<std::uint64_t> bits;
+    alignas(std::atomic_ref<std::uint64_t>::required_alignment)
+        std::uint64_t bits;
 };
 
 static_assert(sizeof(ObjectMeta) == 8, "state table entries must be 8 bytes");
+static_assert(std::is_trivially_copy_constructible_v<ObjectMeta> &&
+                  std::is_trivially_destructible_v<ObjectMeta>,
+              "calloc'd state table entries must be implicit-lifetime");
 
 } // namespace tfm
 

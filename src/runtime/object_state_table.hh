@@ -6,13 +6,20 @@
  * Sized like a single-level page table over the far heap: heapBytes /
  * objectSize entries of 8 bytes each (e.g. a 32 GB heap of 4 KB objects
  * needs 2^23 entries = 64 MB).
+ *
+ * The entries come from calloc, like RemoteNode's store: every object
+ * starts remote (the all-zero word), and the host faults in only the
+ * table pages a run touches instead of zero-filling the whole table up
+ * front.
  */
 
 #ifndef TRACKFM_RUNTIME_OBJECT_STATE_TABLE_HH
 #define TRACKFM_RUNTIME_OBJECT_STATE_TABLE_HH
 
 #include <cstdint>
-#include <vector>
+#include <cstdlib>
+#include <memory>
+#include <new>
 
 #include "object_meta.hh"
 #include "sim/logging.hh"
@@ -27,10 +34,16 @@ class ObjectStateTable
     ObjectStateTable(std::uint64_t heap_bytes, std::uint32_t object_size)
         : objSize(object_size),
           objShift(shiftFor(object_size)),
-          entries((heap_bytes + object_size - 1) / object_size)
-    {}
+          count((heap_bytes + object_size - 1) / object_size),
+          // calloc(0) may return null; one entry keeps a valid pointer.
+          entries(static_cast<ObjectMeta *>(
+              std::calloc(count ? count : 1, sizeof(ObjectMeta))))
+    {
+        if (!entries)
+            throw std::bad_alloc();
+    }
 
-    std::uint64_t numObjects() const { return entries.size(); }
+    std::uint64_t numObjects() const { return count; }
     std::uint32_t objectSize() const { return objSize; }
     std::uint32_t objectShift() const { return objShift; }
 
@@ -51,19 +64,19 @@ class ObjectStateTable
     ObjectMeta &
     operator[](std::uint64_t obj_id)
     {
-        TFM_ASSERT(obj_id < entries.size(), "object id out of table range");
+        TFM_ASSERT(obj_id < count, "object id out of table range");
         return entries[obj_id];
     }
 
     const ObjectMeta &
     operator[](std::uint64_t obj_id) const
     {
-        TFM_ASSERT(obj_id < entries.size(), "object id out of table range");
+        TFM_ASSERT(obj_id < count, "object id out of table range");
         return entries[obj_id];
     }
 
     /** Metadata footprint in bytes (reported like a page-table cost). */
-    std::uint64_t footprintBytes() const { return entries.size() * 8; }
+    std::uint64_t footprintBytes() const { return count * 8; }
 
   private:
     static std::uint32_t
@@ -78,9 +91,15 @@ class ObjectStateTable
         return shift;
     }
 
+    struct FreeDeleter
+    {
+        void operator()(ObjectMeta *p) const { std::free(p); }
+    };
+
     std::uint32_t objSize;
     std::uint32_t objShift;
-    std::vector<ObjectMeta> entries;
+    std::uint64_t count;
+    std::unique_ptr<ObjectMeta[], FreeDeleter> entries;
 };
 
 } // namespace tfm

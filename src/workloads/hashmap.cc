@@ -1,5 +1,7 @@
 #include "hashmap.hh"
 
+#include <vector>
+
 #include "sim/logging.hh"
 #include "sim/zipf.hh"
 
@@ -26,33 +28,27 @@ HashmapWorkload::HashmapWorkload(MemBackend &backend,
     tableAddr = b.alloc(capacity * sizeof(Slot));
     traceAddr = b.alloc(params.numOps * sizeof(std::uint32_t));
 
-    // Populate the table (unmetered: setup phase).
-    const Slot empty{0, 0, 0, 0};
-    for (std::uint64_t i = 0; i < capacity; i++)
-        b.initWrite(tableAddr + i * sizeof(Slot), &empty, sizeof(Slot));
+    // Populate the table (unmetered: setup phase). It is built
+    // host-side, inserting in key order with the same linear probing,
+    // and written with one initWrite.
+    std::vector<Slot> table(capacity, Slot{0, 0, 0, 0});
     for (std::uint64_t k = 0; k < params.numKeys; k++) {
         std::uint64_t slot = hashKey(static_cast<std::uint32_t>(k)) &
                              (capacity - 1);
-        while (true) {
-            Slot s;
-            b.initRead(tableAddr + slot * sizeof(Slot), &s, sizeof(Slot));
-            if (s.state == 0) {
-                const Slot fresh{1, static_cast<std::uint32_t>(k),
-                                 static_cast<std::uint32_t>(k * 2 + 1), 0};
-                b.initWrite(tableAddr + slot * sizeof(Slot), &fresh,
-                            sizeof(Slot));
-                break;
-            }
+        while (table[slot].state != 0)
             slot = (slot + 1) & (capacity - 1);
-        }
+        table[slot] = Slot{1, static_cast<std::uint32_t>(k),
+                           static_cast<std::uint32_t>(k * 2 + 1), 0};
     }
+    b.initWrite(tableAddr, table.data(), capacity * sizeof(Slot));
 
     // Generate and store the access trace (the paper keeps the sampled
     // key sequence in a heap array of its own).
-    ZipfGenerator zipf(params.numKeys, params.zipfSkew, params.seed);
-    for (std::uint64_t i = 0; i < params.numOps; i++) {
-        const auto key = static_cast<std::uint32_t>(zipf.next());
-        b.initWrite(traceAddr + i * 4, &key, sizeof(key));
+    {
+        ZipfGenerator zipf(params.numKeys, params.zipfSkew, params.seed);
+        InitWriter trace(b, traceAddr);
+        for (std::uint64_t i = 0; i < params.numOps; i++)
+            trace.put(static_cast<std::uint32_t>(zipf.next()));
     }
     b.dropCaches();
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/usr_dist.hh"
@@ -31,9 +33,13 @@ MemcachedWorkload::MemcachedWorkload(MemBackend &backend,
 
     // Populate items with USR-style sizes (unmetered setup). Values are
     // a repeating byte derived from the key so gets can be verified.
-    // The index is built host-side, probing in insertion order, and
-    // written with one initWrite at the end.
-    std::vector<Bucket> index(numBuckets, Bucket{0, 0});
+    // The index is built host-side, probing in insertion order, as a
+    // compact slot -> key+1 table (0 = empty) next to each key's item
+    // address, then streamed out as Buckets in InitWriter chunks.
+    TFM_ASSERT(params.numKeys < std::numeric_limits<std::uint32_t>::max(),
+               "memcached keys must fit the compact slot table");
+    std::vector<std::uint32_t> slotKey(numBuckets, 0);
+    std::vector<std::uint64_t> itemAddrs(params.numKeys);
     UsrSizeDist sizes(params.seed);
     std::vector<std::uint8_t> value(512);
     for (std::uint64_t k = 0; k < params.numKeys; k++) {
@@ -50,11 +56,22 @@ MemcachedWorkload::MemcachedWorkload(MemBackend &backend,
                     s.valueBytes);
 
         std::uint64_t slot = hashKey(k) & (numBuckets - 1);
-        while (index[slot].itemAddr != 0)
+        while (slotKey[slot] != 0)
             slot = (slot + 1) & (numBuckets - 1);
-        index[slot] = Bucket{item, hashKey(k)};
+        slotKey[slot] = static_cast<std::uint32_t>(k + 1);
+        itemAddrs[k] = item;
     }
-    b.initWrite(indexAddr, index.data(), numBuckets * sizeof(Bucket));
+    {
+        InitWriter index(b, indexAddr);
+        for (const std::uint32_t key_plus_one : slotKey) {
+            if (key_plus_one == 0) {
+                index.put(Bucket{0, 0});
+            } else {
+                const std::uint64_t k = key_plus_one - 1;
+                index.put(Bucket{itemAddrs[k], hashKey(k)});
+            }
+        }
+    }
     b.dropCaches();
 }
 

@@ -56,21 +56,26 @@ class CgKernel : public NasKernel
         yAddr = b.alloc(n * 8);
 
         Rng rng(params.seed);
-        for (std::uint64_t row = 0; row <= n; row++) {
-            b.initT<std::uint32_t>(rowptrAddr + row * 4,
-                                   static_cast<std::uint32_t>(
-                                       row * nnzPerRow));
+        {
+            InitWriter rowptr(b, rowptrAddr);
+            for (std::uint64_t row = 0; row <= n; row++)
+                rowptr.put(static_cast<std::uint32_t>(row * nnzPerRow));
         }
-        for (std::uint64_t i = 0; i < nnz; i++) {
-            b.initT<std::uint32_t>(
-                colidxAddr + i * 4,
-                static_cast<std::uint32_t>(rng.below(n)));
-            b.initT<double>(valuesAddr + i * 8,
-                            rng.uniform() * 2.0 - 1.0);
+        {
+            InitWriter colidx(b, colidxAddr);
+            InitWriter values(b, valuesAddr);
+            for (std::uint64_t i = 0; i < nnz; i++) {
+                colidx.put(static_cast<std::uint32_t>(rng.below(n)));
+                values.put(rng.uniform() * 2.0 - 1.0);
+            }
         }
-        for (std::uint64_t i = 0; i < n; i++) {
-            b.initT<double>(xAddr + i * 8, 1.0);
-            b.initT<double>(yAddr + i * 8, 0.0);
+        {
+            InitWriter x(b, xAddr);
+            InitWriter y(b, yAddr);
+            for (std::uint64_t i = 0; i < n; i++) {
+                x.put(1.0);
+                y.put(0.0);
+            }
         }
         b.dropCaches();
     }
@@ -160,9 +165,12 @@ class FtKernel : public NasKernel
         TFM_ASSERT((nx & (nx - 1)) == 0, "FT grid must be a power of two");
         gridAddr = b.alloc(cells() * 16); // complex<double>
         Rng rng(params.seed);
-        for (std::uint64_t i = 0; i < cells(); i++) {
-            b.initT<double>(gridAddr + i * 16, rng.uniform());
-            b.initT<double>(gridAddr + i * 16 + 8, rng.uniform());
+        {
+            InitWriter grid(b, gridAddr);
+            for (std::uint64_t i = 0; i < cells(); i++) {
+                grid.put(rng.uniform()); // real
+                grid.put(rng.uniform()); // imaginary
+            }
         }
         b.dropCaches();
     }
@@ -278,10 +286,10 @@ class IsKernel : public NasKernel
         ranksAddr = b.alloc(n * 4);
         histAddr = b.alloc(maxKey * 4);
         Rng rng(params.seed);
-        for (std::uint64_t i = 0; i < n; i++) {
-            b.initT<std::uint32_t>(
-                keysAddr + i * 4,
-                static_cast<std::uint32_t>(rng.below(maxKey)));
+        {
+            InitWriter keys(b, keysAddr);
+            for (std::uint64_t i = 0; i < n; i++)
+                keys.put(static_cast<std::uint32_t>(rng.below(maxKey)));
         }
         b.dropCaches();
     }
@@ -301,9 +309,13 @@ class IsKernel : public NasKernel
         const BackendSnapshot before = snapshot(b);
         for (std::uint32_t it = 0; it < iterations; it++) {
             // Histogram: sequential key scan, random histogram bumps
-            // (the histogram is small and stays hot).
-            for (std::uint64_t k = 0; k < maxKey; k++)
-                b.initT<std::uint32_t>(histAddr + k * 4, 0);
+            // (the histogram is small and stays hot). The reset is
+            // unmetered.
+            {
+                InitWriter hist(b, histAddr);
+                for (std::uint64_t k = 0; k < maxKey; k++)
+                    hist.put(std::uint32_t{0});
+            }
             {
                 auto keys = b.stream(keysAddr, 4, n, StreamMode::Read);
                 for (std::uint64_t i = 0; i < n; i++) {
@@ -370,10 +382,16 @@ class MgKernel : public NasKernel
         fineAddr = b.alloc(cells(n) * 8);
         coarseAddr = b.alloc(cells(n / 2) * 8);
         Rng rng(params.seed);
-        for (std::uint64_t i = 0; i < cells(n); i++)
-            b.initT<double>(fineAddr + i * 8, rng.uniform());
-        for (std::uint64_t i = 0; i < cells(n / 2); i++)
-            b.initT<double>(coarseAddr + i * 8, 0.0);
+        {
+            InitWriter fine(b, fineAddr);
+            for (std::uint64_t i = 0; i < cells(n); i++)
+                fine.put(rng.uniform());
+        }
+        {
+            InitWriter coarse(b, coarseAddr);
+            for (std::uint64_t i = 0; i < cells(n / 2); i++)
+                coarse.put(0.0);
+        }
         b.dropCaches();
     }
 
@@ -517,10 +535,15 @@ class SpKernel : public NasKernel
         lhsAddr = b.alloc(cells() * 8);
         factorAddr = b.alloc(cells() * 8);
         Rng rng(params.seed);
-        for (std::uint64_t i = 0; i < cells(); i++) {
-            b.initT<double>(rhsAddr + i * 8, rng.uniform());
-            b.initT<double>(lhsAddr + i * 8, 2.0 + rng.uniform());
-            b.initT<double>(factorAddr + i * 8, 0.0);
+        {
+            InitWriter rhs(b, rhsAddr);
+            InitWriter lhs(b, lhsAddr);
+            InitWriter factor(b, factorAddr);
+            for (std::uint64_t i = 0; i < cells(); i++) {
+                rhs.put(rng.uniform());
+                lhs.put(2.0 + rng.uniform());
+                factor.put(0.0);
+            }
         }
         b.dropCaches();
     }

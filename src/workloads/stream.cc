@@ -26,11 +26,20 @@ StreamWorkload::StreamWorkload(MemBackend &backend, std::uint64_t elements,
     dstAddr = b.alloc(n * elemBytes);
     if (arrays == 3)
         thirdAddr = b.alloc(n * elemBytes);
-    for (std::uint64_t i = 0; i < n; i++) {
-        initElem(srcAddr, i, valueAt(i));
-        initElem(dstAddr, i, 0);
-        if (arrays == 3)
-            initElem(thirdAddr, i, 0);
+    {
+        InitWriter src(b, srcAddr);
+        for (std::uint64_t i = 0; i < n; i++)
+            putElem(src, valueAt(i));
+    }
+    {
+        InitWriter dst(b, dstAddr);
+        for (std::uint64_t i = 0; i < n; i++)
+            putElem(dst, 0);
+    }
+    if (arrays == 3) {
+        InitWriter third(b, thirdAddr);
+        for (std::uint64_t i = 0; i < n; i++)
+            putElem(third, 0);
     }
     b.dropCaches();
 }
@@ -60,15 +69,12 @@ StreamWorkload::writeElem(SeqStream &stream, std::int64_t value)
 }
 
 void
-StreamWorkload::initElem(std::uint64_t base, std::uint64_t index,
-                         std::int64_t value)
+StreamWorkload::putElem(InitWriter &out, std::int64_t value) const
 {
-    if (elemBytes == 4) {
-        b.initT<std::int32_t>(base + index * 4,
-                              static_cast<std::int32_t>(value));
-    } else {
-        b.initT<std::int64_t>(base + index * 8, value);
-    }
+    if (elemBytes == 4)
+        out.put(static_cast<std::int32_t>(value));
+    else
+        out.put(value);
 }
 
 std::int64_t

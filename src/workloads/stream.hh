@@ -79,8 +79,7 @@ class StreamWorkload
 
     std::int64_t readElem(SeqStream &stream);
     void writeElem(SeqStream &stream, std::int64_t value);
-    void initElem(std::uint64_t base, std::uint64_t index,
-                  std::int64_t value);
+    void putElem(InitWriter &out, std::int64_t value) const;
     std::int64_t peekElem(std::uint64_t base, std::uint64_t index);
 
     MemBackend &b;

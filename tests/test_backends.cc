@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
+#include "runtime/far_mem_runtime.hh"
 #include "sim/rng.hh"
+#include "tfm/tagged_ptr.hh"
+#include "tfm/tfm_runtime.hh"
 #include "workloads/backend_config.hh"
 #include "workloads/stream.hh"
 
@@ -112,6 +116,126 @@ TEST_P(AllBackends, SnapshotDeltasAreWindowed)
     const BackendSnapshot d = deltaSince(a, b);
     EXPECT_GT(d.cycles, 0u);
     EXPECT_LE(d.cycles, b.cycles);
+}
+
+TEST_P(AllBackends, InitWriterCrossesFlushBoundaryMidArray)
+{
+    // 12-byte records: 64 KB is not a multiple of 12, so one record
+    // straddles each chunk boundary.
+    struct Record
+    {
+        std::uint32_t a, b, c;
+    };
+    auto backend = makeBackend(smallConfig(GetParam()), CostParams{});
+    const std::uint32_t count =
+        3 * InitWriter::chunkBytes / sizeof(Record) + 7;
+    const std::uint64_t addr = backend->alloc(count * sizeof(Record));
+    const std::uint64_t before = backend->cycles();
+    {
+        InitWriter out(*backend, addr);
+        for (std::uint32_t i = 0; i < count; i++)
+            out.put(Record{i, i * 3, ~i});
+    }
+    EXPECT_EQ(backend->cycles(), before); // set-up is unmetered
+
+    std::vector<Record> back(count);
+    backend->initRead(addr, back.data(), back.size() * sizeof(Record));
+    std::uint32_t bad = 0;
+    for (std::uint32_t i = 0; i < count; i++)
+        bad += back[i].a != i || back[i].b != i * 3 || back[i].c != ~i;
+    EXPECT_EQ(bad, 0u);
+
+    const std::uint32_t straddler = InitWriter::chunkBytes / sizeof(Record);
+    Record metered;
+    backend->read(addr + straddler * sizeof(Record), &metered,
+                  sizeof(metered), AccessHint::Random);
+    EXPECT_EQ(metered.a, straddler);
+    EXPECT_EQ(metered.b, straddler * 3);
+    EXPECT_EQ(metered.c, ~straddler);
+}
+
+TEST_P(AllBackends, InitWriterDestructorFlushesTheTail)
+{
+    auto backend = makeBackend(smallConfig(GetParam()), CostParams{});
+    const std::uint64_t addr = backend->alloc(4096);
+    {
+        InitWriter out(*backend, addr);
+        out.put(std::uint64_t{0x1234});
+        // Still buffered host-side until a flush.
+        EXPECT_EQ(backend->peekT<std::uint64_t>(addr), 0u);
+    }
+    EXPECT_EQ(backend->peekT<std::uint64_t>(addr), 0x1234u);
+}
+
+/** A TrackFM runtime of 64-B objects and 16 frames, viewed as a backend. */
+class InitWriterTfm : public ::testing::Test
+{
+  protected:
+    static RuntimeConfig
+    config()
+    {
+        RuntimeConfig cfg;
+        cfg.farHeapBytes = 1 << 20;
+        cfg.localMemBytes = 16 * 64;
+        cfg.objectSizeBytes = 64;
+        cfg.prefetchEnabled = false;
+        // Keep an evicted dirty object parked until evacuateAll.
+        cfg.writebackFlushCycles = 1ull << 40;
+        return cfg;
+    }
+
+    TfmRuntime rt{config(), CostParams{}};
+    std::unique_ptr<MemBackend> backend = makeSharedBackend(rt);
+};
+
+TEST_F(InitWriterTfm, ValueStraddlingAnObjectBoundary)
+{
+    const std::uint64_t addr = backend->alloc(256);
+    const std::uint64_t boundary = addr + 64 - tfmOffsetOf(addr) % 64;
+    const std::uint64_t value = 0x0102030405060708ull;
+    {
+        InitWriter out(*backend, boundary - 4);
+        out.put(value);
+    }
+    EXPECT_EQ(backend->peekT<std::uint64_t>(boundary - 4), value);
+    EXPECT_EQ(backend->readT<std::uint64_t>(boundary - 4,
+                                            AccessHint::Random),
+              value);
+}
+
+TEST_F(InitWriterTfm, WritesReachAFrameResidentObject)
+{
+    const std::uint64_t addr = backend->alloc(64);
+    backend->writeT<std::uint64_t>(addr, 1, AccessHint::Random);
+    ASSERT_TRUE(rt.runtime().isLocal(tfmOffsetOf(addr)));
+    {
+        InitWriter out(*backend, addr);
+        out.put(std::uint64_t{2});
+    }
+    EXPECT_TRUE(rt.runtime().isLocal(tfmOffsetOf(addr)));
+    EXPECT_EQ(backend->peekT<std::uint64_t>(addr), 2u);
+    EXPECT_EQ(backend->readT<std::uint64_t>(addr, AccessHint::Random), 2u);
+}
+
+TEST_F(InitWriterTfm, WritesReachAnObjectParkedForWriteback)
+{
+    const std::uint64_t addr = backend->alloc(64 * 64);
+    backend->writeT<std::uint64_t>(addr, 1, AccessHint::Random);
+    // Sweep the other objects until the dirty one is evicted into the
+    // coalescing writeback buffer.
+    for (std::uint64_t i = 1; i < 64; i++)
+        backend->readT<std::uint64_t>(addr + i * 64, AccessHint::Random);
+    ASSERT_FALSE(rt.runtime().isLocal(tfmOffsetOf(addr)));
+    ASSERT_EQ(rt.runtime().pendingWritebacks(), 1u);
+    {
+        InitWriter out(*backend, addr);
+        out.put(std::uint64_t{2});
+    }
+    EXPECT_EQ(backend->peekT<std::uint64_t>(addr), 2u);
+    EXPECT_EQ(backend->readT<std::uint64_t>(addr, AccessHint::Random), 2u);
+    // And the parked copy's eventual flush does not bring back the 1.
+    backend->dropCaches();
+    EXPECT_EQ(backend->peekT<std::uint64_t>(addr), 2u);
 }
 
 TEST(BackendCosts, FarBackendsChargeMoreThanLocal)

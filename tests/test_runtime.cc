@@ -81,6 +81,33 @@ TEST(ObjectStateTable, FootprintIsLikeAPageTable)
     EXPECT_EQ(table.footprintBytes(), 64ull << 20);
 }
 
+TEST(ObjectStateTable, LargeTableStartsRemoteAndRoundTrips)
+{
+    // 256 MB heap of 64-B objects: 4M entries (32 MB) taken from
+    // calloc, so every object starts in the all-zero remote state.
+    ObjectStateTable table(256ull << 20, 64);
+    ASSERT_EQ(table.numObjects(), 4ull << 20);
+    EXPECT_EQ(table.footprintBytes(), 32ull << 20);
+    std::uint64_t nonzero = 0;
+    for (std::uint64_t id = 0; id < table.numObjects(); id++)
+        nonzero += table[id].raw() != 0;
+    EXPECT_EQ(nonzero, 0u);
+
+    ObjectMeta &meta = table[(4ull << 20) - 1];
+    meta.makeLocal(123456);
+    meta.setDirty();
+    const std::uint64_t raw = meta.raw();
+    EXPECT_TRUE(ObjectMeta::rawSafe(raw));
+    EXPECT_EQ(ObjectMeta::rawFrame(raw), 123456u);
+    EXPECT_TRUE(meta.present());
+    EXPECT_TRUE(meta.dirty());
+    EXPECT_FALSE(meta.inflight());
+    meta.makeRemote();
+    EXPECT_EQ(meta.raw(), 0u);
+    EXPECT_FALSE(meta.present());
+    EXPECT_FALSE(meta.dirty());
+}
+
 TEST(RegionAllocator, SmallAllocationsNeverStraddleObjects)
 {
     RegionAllocator alloc(1 << 20, 4096);

@@ -15,6 +15,7 @@
 #include "workloads/kmeans.hh"
 #include "workloads/memcached.hh"
 #include "workloads/nas.hh"
+#include "workloads/stream.hh"
 
 namespace tfm
 {
@@ -195,6 +196,130 @@ fnv1a(std::uint64_t h, const void *data, std::size_t len)
 }
 
 /**
+ * Forwards every call to an inner backend and records each allocation,
+ * so a test can hash exactly the far-heap bytes a workload allocated.
+ */
+class AllocRecorder : public MemBackend
+{
+  public:
+    struct Block
+    {
+        std::uint64_t addr;
+        std::uint64_t bytes;
+    };
+
+    explicit AllocRecorder(MemBackend &inner) : in(inner) {}
+
+    const std::vector<Block> &blocks() const { return allocs; }
+
+    std::string name() const override { return in.name(); }
+
+    std::uint64_t
+    alloc(std::uint64_t bytes) override
+    {
+        const std::uint64_t addr = in.alloc(bytes);
+        allocs.push_back(Block{addr, bytes});
+        return addr;
+    }
+
+    void dealloc(std::uint64_t addr) override { in.dealloc(addr); }
+
+    void
+    read(std::uint64_t addr, void *dst, std::size_t len,
+         AccessHint hint) override
+    {
+        in.read(addr, dst, len, hint);
+    }
+
+    void
+    write(std::uint64_t addr, const void *src, std::size_t len,
+          AccessHint hint) override
+    {
+        in.write(addr, src, len, hint);
+    }
+
+    std::unique_ptr<SeqStream>
+    stream(std::uint64_t addr, std::uint32_t elem_size, std::uint64_t count,
+           StreamMode mode) override
+    {
+        return in.stream(addr, elem_size, count, mode);
+    }
+
+    void compute(std::uint64_t cycles) override { in.compute(cycles); }
+
+    void
+    initWrite(std::uint64_t addr, const void *src, std::size_t len) override
+    {
+        in.initWrite(addr, src, len);
+    }
+
+    void
+    initRead(std::uint64_t addr, void *dst, std::size_t len) override
+    {
+        in.initRead(addr, dst, len);
+    }
+
+    void dropCaches() override { in.dropCaches(); }
+    std::uint64_t cycles() const override { return in.cycles(); }
+    std::uint64_t farEvents() const override { return in.farEvents(); }
+    std::uint64_t guardEvents() const override { return in.guardEvents(); }
+    std::uint64_t bytesFetched() const override { return in.bytesFetched(); }
+
+    std::uint64_t
+    bytesTransferred() const override
+    {
+        return in.bytesTransferred();
+    }
+
+    StatSet stats() const override { return in.stats(); }
+
+  private:
+    MemBackend &in;
+    std::vector<Block> allocs;
+};
+
+/** Expected set-up image of one workload on one backend. */
+struct FillPin
+{
+    SystemKind kind;
+    std::uint64_t hash;
+    std::uint64_t cycles;
+};
+
+/**
+ * Build a workload with @p build on each pinned backend (TrackFM at
+ * 64-B objects) and check its set-up image: the FNV-1a of every block it
+ * allocated (address, size, then every byte, in allocation order) and
+ * the cycles on the clock once construction returns.
+ */
+template <typename Build>
+void
+expectFillImage(const FillPin (&pins)[3], Build build)
+{
+    for (const FillPin &pin : pins) {
+        auto cfg = baseConfig(pin.kind);
+        if (pin.kind == SystemKind::TrackFm)
+            cfg.objectSizeBytes = 64;
+        auto backend = makeBackend(cfg, CostParams{});
+        AllocRecorder recorder(*backend);
+        const auto workload = build(recorder);
+        const std::uint64_t cycles = backend->cycles();
+
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        std::vector<std::uint8_t> bytes;
+        for (const AllocRecorder::Block &block : recorder.blocks()) {
+            h = fnv1a(h, &block, sizeof(block));
+            bytes.resize(block.bytes);
+            backend->initRead(block.addr, bytes.data(), bytes.size());
+            h = fnv1a(h, bytes.data(), bytes.size());
+        }
+        EXPECT_EQ(h, pin.hash) << systemName(pin.kind) << std::hex
+                               << " hash 0x" << h << std::dec;
+        EXPECT_EQ(cycles, pin.cycles) << systemName(pin.kind);
+    }
+}
+
+/**
  * The store's far-heap image and set-up cycles are part of every
  * memcached result: pin both per backend. The hash covers the whole
  * index, then each item (header, key and value bytes) in bucket order.
@@ -254,6 +379,61 @@ TEST(MemcachedWorkload, FillImageIsPinned)
         EXPECT_EQ(h, pin.hash) << systemName(pin.kind);
         EXPECT_EQ(cycles, pin.cycles) << systemName(pin.kind);
     }
+}
+
+TEST(StreamWorkload, FillImageIsPinned)
+{
+    const FillPin pins[] = {
+        {SystemKind::Local, 0x78045d99f844d192ull, 360},
+        {SystemKind::TrackFm, 0xb4a9aa94b487f8e2ull, 360},
+        {SystemKind::Fastswap, 0x78045d99f844d192ull, 360},
+    };
+    expectFillImage(pins, [](MemBackend &b) {
+        return std::make_unique<StreamWorkload>(b, 20000, 3, 4);
+    });
+}
+
+TEST(DataframeWorkload, FillImageIsPinned)
+{
+    const FillPin pins[] = {
+        {SystemKind::Local, 0x435814290dc58e9aull, 150840},
+        {SystemKind::TrackFm, 0xe79d889a6bdaf16aull, 150840},
+        {SystemKind::Fastswap, 0x435814290dc58e9aull, 150840},
+    };
+    DataframeParams params;
+    params.numRows = 20000;
+    expectFillImage(pins, [&](MemBackend &b) {
+        return std::make_unique<DataframeWorkload>(b, params);
+    });
+}
+
+TEST(HashmapWorkload, FillImageIsPinned)
+{
+    const FillPin pins[] = {
+        {SystemKind::Local, 0x6a9f2f67e6c454d4ull, 240},
+        {SystemKind::TrackFm, 0x9963e36555bfbef4ull, 240},
+        {SystemKind::Fastswap, 0x6a9f2f67e6c454d4ull, 240},
+    };
+    HashmapParams params;
+    params.numKeys = 20000;
+    params.numOps = 50000;
+    expectFillImage(pins, [&](MemBackend &b) {
+        return std::make_unique<HashmapWorkload>(b, params);
+    });
+}
+
+TEST(KMeansWorkload, FillImageIsPinned)
+{
+    const FillPin pins[] = {
+        {SystemKind::Local, 0x4e963ca39559e185ull, 360},
+        {SystemKind::TrackFm, 0x99fc9b0d21c5d095ull, 360},
+        {SystemKind::Fastswap, 0x4e963ca39559e185ull, 360},
+    };
+    KMeansParams params;
+    params.numPoints = 5000;
+    expectFillImage(pins, [&](MemBackend &b) {
+        return std::make_unique<KMeansWorkload>(b, params);
+    });
 }
 
 TEST(DataframeWorkload, AnswersMatchReferenceOnEveryBackend)
@@ -340,6 +520,46 @@ TEST_P(NasKernels, FarMemoryCostsMoreThanLocal)
     auto tfm_kernel = makeNasKernel(GetParam(), *tfm_backend, params);
     EXPECT_GT(tfm_kernel->run().delta.cycles,
               local_kernel->run().delta.cycles);
+}
+
+TEST_P(NasKernels, FillImageIsPinned)
+{
+    struct KernelPins
+    {
+        const char *name;
+        FillPin pins[3];
+    };
+    const KernelPins table[] = {
+        {"cg",
+         {{SystemKind::Local, 0x1e3eecff8c5f2b38ull, 600},
+          {SystemKind::TrackFm, 0xa0edefafaa207ec8ull, 600},
+          {SystemKind::Fastswap, 0x1e3eecff8c5f2b38ull, 600}}},
+        {"ft",
+         {{SystemKind::Local, 0x8ddb39b37fa8b21full, 120},
+          {SystemKind::TrackFm, 0xbaecc8d189479d8full, 120},
+          {SystemKind::Fastswap, 0x8ddb39b37fa8b21full, 120}}},
+        {"is",
+         {{SystemKind::Local, 0xb61066c7419d37f2ull, 360},
+          {SystemKind::TrackFm, 0xb14a96a7790916a2ull, 360},
+          {SystemKind::Fastswap, 0xb61066c7419d37f2ull, 360}}},
+        {"mg",
+         {{SystemKind::Local, 0x82870a3ca02382deull, 240},
+          {SystemKind::TrackFm, 0xcd89d591ea6111deull, 240},
+          {SystemKind::Fastswap, 0x82870a3ca02382deull, 240}}},
+        {"sp",
+         {{SystemKind::Local, 0x80db435c783bcab3ull, 360},
+          {SystemKind::TrackFm, 0x467eef7fa2579583ull, 360},
+          {SystemKind::Fastswap, 0x80db435c783bcab3ull, 360}}},
+    };
+    NasParams params;
+    params.scale = 8;
+    for (const KernelPins &kernel : table) {
+        if (std::string(kernel.name) != GetParam())
+            continue;
+        expectFillImage(kernel.pins, [&](MemBackend &b) {
+            return makeNasKernel(kernel.name, b, params);
+        });
+    }
 }
 
 TEST(NasO1, PreOptimizationCutsGuardsForFtAndSp)

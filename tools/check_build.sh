@@ -51,15 +51,21 @@ done
 echo "check_build: example programs OK (both engines)"
 
 # Bench golden gate: simulated cycles are deterministic, so a bench's
-# whole table is an exact regression oracle. Fig. 16's output must stay
-# byte-identical to the checked-in copy (default seed, so TFM_SEED is
-# cleared). A change that moves the table on purpose regenerates the
-# file with the same command and says so in CHANGES.md.
-env -u TFM_SEED "${BUILD_DIR}/bench/bench_fig16_memcached" \
-    > "${BUILD_DIR}/bench_fig16_memcached.out"
-cmp "${BUILD_DIR}/bench_fig16_memcached.out" \
-    tests/golden/bench_fig16_memcached.txt
-echo "check_build: bench golden gate (Fig. 16) OK"
+# whole table is an exact regression oracle. Each gated bench's output
+# must stay byte-identical to its checked-in copy in tests/golden/
+# (default seed, so TFM_SEED is cleared). Fig. 16 covers the memcached
+# store; Figs. 8, 9, 12, 14 and 17 cover the KMeans, hashmap, STREAM,
+# dataframe and NAS far-heap fills. A change that moves a table on
+# purpose regenerates its file with the same command and says so in
+# CHANGES.md.
+for bench in bench_fig8_kmeans_chunking bench_fig9_objsize_hashmap \
+    bench_fig12_stream_vs_fastswap bench_fig14_analytics \
+    bench_fig16_memcached bench_fig17_nas; do
+    env -u TFM_SEED "${BUILD_DIR}/bench/${bench}" \
+        > "${BUILD_DIR}/${bench}.out"
+    cmp "${BUILD_DIR}/${bench}.out" "tests/golden/${bench}.txt"
+done
+echo "check_build: bench golden gate (Figs. 8, 9, 12, 14, 16, 17) OK"
 
 # Lint tier: clang-tidy with the checked-in .clang-tidy configs
 # (bugprone-* and performance-* everywhere; src/serve and src/runtime
