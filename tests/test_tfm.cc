@@ -11,7 +11,6 @@
 
 #include "tfm/chunk.hh"
 #include "tfm/cost_model.hh"
-#include "tfm/far_ptr.hh"
 #include "tfm/tagged_ptr.hh"
 #include "tfm/tfm_runtime.hh"
 
@@ -210,28 +209,27 @@ TEST(TfmRuntime, FreeRecyclesFarMemory)
     EXPECT_EQ(a, b);
 }
 
-TEST(FarPtr, TypedAccessors)
+TEST(TfmRuntime, Int32ArrayLoadStore)
 {
     TfmRuntime rt(smallConfig(), CostParams{});
-    auto array = FarPtr<std::int32_t>::alloc(rt, 1000);
+    const std::uint64_t array = rt.tfmMalloc(1000 * sizeof(std::int32_t));
     for (int i = 0; i < 1000; i++)
-        array.init(rt, i, i * 3);
+        rt.store<std::int32_t>(array + i * 4, i * 3);
     for (int i = 0; i < 1000; i += 97)
-        EXPECT_EQ(array.get(rt, i), i * 3);
-    array.set(rt, 5, -7);
-    EXPECT_EQ(array.get(rt, 5), -7);
-    EXPECT_EQ((array + 5).get(rt), -7);
+        EXPECT_EQ(rt.load<std::int32_t>(array + i * 4), i * 3);
+    rt.store<std::int32_t>(array + 5 * 4, -7);
+    EXPECT_EQ(rt.load<std::int32_t>(array + 5 * 4), -7);
 }
 
 TEST(ChunkCursor, ReadsSequentiallyAcrossObjects)
 {
     TfmRuntime rt(smallConfig(256), CostParams{});
     const int n = 512; // 8 objects of 64 elements (int32)
-    auto array = FarPtr<std::int32_t>::alloc(rt, n);
+    const std::uint64_t array = rt.tfmMalloc(n * sizeof(std::int32_t));
     for (int i = 0; i < n; i++)
-        array.init(rt, i, i);
+        rt.store<std::int32_t>(array + i * 4, i);
 
-    ChunkCursor<std::int32_t> cursor(rt, array.raw(), false);
+    ChunkCursor<std::int32_t> cursor(rt, array, false);
     std::int64_t sum = 0;
     for (int i = 0; i < n; i++)
         sum += cursor.read();
@@ -242,11 +240,11 @@ TEST(ChunkCursor, UsesLocalityGuardsNotFastPaths)
 {
     TfmRuntime rt(smallConfig(256), CostParams{});
     const int n = 512;
-    auto array = FarPtr<std::int32_t>::alloc(rt, n);
+    const std::uint64_t array = rt.tfmMalloc(n * sizeof(std::int32_t));
     for (int i = 0; i < n; i++)
-        array.init(rt, i, i);
+        rt.store<std::int32_t>(array + i * 4, i);
     {
-        ChunkCursor<std::int32_t> cursor(rt, array.raw(), false);
+        ChunkCursor<std::int32_t> cursor(rt, array, false);
         for (int i = 0; i < n; i++)
             cursor.read();
     }
@@ -263,15 +261,15 @@ TEST(ChunkCursor, WritesArePersisted)
 {
     TfmRuntime rt(smallConfig(256, 4), CostParams{});
     const int n = 1024;
-    auto array = FarPtr<std::int32_t>::alloc(rt, n);
+    const std::uint64_t array = rt.tfmMalloc(n * sizeof(std::int32_t));
     {
-        ChunkCursor<std::int32_t> cursor(rt, array.raw(), true);
+        ChunkCursor<std::int32_t> cursor(rt, array, true);
         for (int i = 0; i < n; i++)
             cursor.write(i * 2);
     }
     rt.runtime().evacuateAll();
     for (int i = 0; i < n; i += 61)
-        EXPECT_EQ(array.peek(rt, i), i * 2);
+        EXPECT_EQ(rt.load<std::int32_t>(array + i * 4), i * 2);
 }
 
 TEST(ChunkCursor, PinIsReleasedOnDestruction)
