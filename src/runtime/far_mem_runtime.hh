@@ -89,9 +89,10 @@ struct RuntimeConfig
      * @{ */
     /// Allow multiple worker threads to share this runtime. Off by
     /// default: the deterministic single-stream mode is what the
-    /// record/replay and byte-identity gates run against. When on, the
-    /// stride prefetcher is disabled (the MT data plane is demand-only)
-    /// and a flight recorder must not be attached.
+    /// record/replay and byte-identity gates run against. The
+    /// concurrent data plane is demand-only on one link, so the
+    /// constructor rejects it (fatal, naming the fields) together with
+    /// prefetchEnabled, a flight recorder, or a cluster topology.
     bool concurrent = false;
     /// Frame-cache lock stripes (power of two; 0 or 1 = the seed's
     /// single-shard cache). Honored in single-thread mode too, for the
@@ -154,9 +155,23 @@ struct RuntimeStats
  * (fetches, evictions, allocation); guard costs are charged by the layer
  * above (tfm/ or aifmlib/), mirroring the paper's split between
  * compiler-injected code and the AIFM runtime.
+ *
+ * Every data-plane operation runs on behalf of one per-thread
+ * WorkerContext (DESIGN.md §4k): the runtime owns the main context,
+ * whose clock is the remote tier's device clock, and each worker thread
+ * of a concurrent runtime registers one more. The deterministic mode is
+ * the case where only the main context ever runs.
  */
 class FarMemRuntime
 {
+    /** One dirty object parked for a coalesced writeback. */
+    struct PendingWriteback
+    {
+        std::uint64_t objId = 0;
+        std::uint64_t parkCycle = 0; ///< clock when parked (residency)
+        std::vector<std::byte> data;
+    };
+
   public:
     /** What localize() had to do to make the object local. */
     enum class Localized
@@ -166,16 +181,50 @@ class FarMemRuntime
         RemoteFetch    ///< blocking demand fetch from the remote node
     };
 
+    /** Quiescent epoch-slot value (context not inside an epoch section). */
+    static constexpr std::uint64_t quiescentEpoch = ~0ull;
+
+    /** Per-thread runtime state: clock, counter set, epoch slot, and
+     *  dirty-writeback buffer. */
+    struct WorkerContext
+    {
+        CycleClock clock;     ///< this context's simulated time
+        RuntimeStats stats;   ///< single-writer counters, merged on report
+        /// Epoch observed at epochEnter(), quiescentEpoch outside any
+        /// epoch section. seq_cst: the reclamation proof needs slot
+        /// stores and meta/epoch loads in one total order.
+        std::atomic<std::uint64_t> epochSlot{quiescentEpoch};
+        FarMemRuntime *owner = nullptr;
+
+        std::mutex wbMu; ///< guards wbBuf (see the lock order below)
+        std::vector<PendingWriteback> wbBuf;
+        std::uint64_t wbOldestCycle = 0; ///< clock when wbBuf[0] parked
+    };
+
+    /**
+     * A guard layer's last-object inline cache: the object->frame
+     * translation of the most recent guard. A hit requires the same
+     * object id, an unchanged eviction epoch, and a still-safe meta
+     * word, so a cached host pointer can never outlive its mapping.
+     */
+    struct LastObjectCache
+    {
+        std::uint64_t objId = ~0ull;    ///< never a real object id
+        std::uint64_t epoch = ~0ull;    ///< evictionEpoch at fill
+        std::byte *frameBase = nullptr; ///< host pointer to frame byte 0
+        ObjectMeta *meta = nullptr;
+        Frame *frame = nullptr;
+    };
+
     FarMemRuntime(const RuntimeConfig &config, const CostParams &cost_params);
 
     /** @name Simulation plumbing
      * @{ */
-    /** The calling thread's clock: the bound worker's private clock on
-     *  a worker thread, the runtime's main clock otherwise. */
-    CycleClock &clock();
-    const CycleClock &clock() const;
-    /** The runtime's own clock, whichever thread asks. */
-    CycleClock &mainClock() { return _clock; }
+    /** The calling thread's clock (its bound context's). */
+    CycleClock &clock() { return context().clock; }
+    const CycleClock &clock() const { return context().clock; }
+    /** The main context's clock: the remote tier's device clock. */
+    CycleClock &mainClock() { return main_.clock; }
     /** The remote tier this runtime drives (single node or cluster). */
     RemoteBackend &backend() { return *backend_; }
     const RemoteBackend &backend() const { return *backend_; }
@@ -203,11 +252,20 @@ class FarMemRuntime
      * @{ */
     /**
      * Ensure the object containing @p offset is local and return a host
-     * pointer to the byte at @p offset. Charges fetch/wait costs but not
-     * guard costs.
+     * pointer to the byte at @p offset, charging fetch/wait costs (not
+     * guard costs) to @p w. On a concurrent runtime the caller holds
+     * the object's shard lock (shardLock()) across the call and every
+     * use of the returned pointer.
      */
-    std::byte *localize(std::uint64_t offset, bool for_write,
-                        Localized *outcome = nullptr);
+    std::byte *localize(WorkerContext &w, std::uint64_t offset,
+                        bool for_write, Localized *outcome = nullptr);
+    /** localize() on the calling thread's context. */
+    std::byte *
+    localize(std::uint64_t offset, bool for_write,
+             Localized *outcome = nullptr)
+    {
+        return localize(context(), offset, for_write, outcome);
+    }
 
     /**
      * The fast-path check: if the object is present and safe, mark usage
@@ -234,6 +292,7 @@ class FarMemRuntime
     /**
      * Issue asynchronous fetches for up to @p count objects starting at
      * @p obj_id + @p stride (compiler-directed prefetch, section 4.3).
+     * Runs on the main context (the deterministic mode only).
      */
     void prefetchObjects(std::uint64_t obj_id, std::int64_t stride,
                          std::uint32_t count);
@@ -249,34 +308,41 @@ class FarMemRuntime
 
     /**
      * Drop every localized object (writing back dirty ones) so a
-     * measurement can start from a fully remote heap.
+     * measurement can start from a fully remote heap. No worker may be
+     * running.
      */
     void evacuateAll();
 
     /**
-     * Push every buffered dirty writeback to the remote node as one
-     * coalesced message. Safe to call with an empty buffer. Charged as
-     * normal data-plane traffic (unlike evacuateAll's raw flush).
+     * Push the calling thread's buffered dirty writebacks to the remote
+     * node as one coalesced message. Safe to call with an empty buffer.
+     * Charged as normal data-plane traffic (unlike evacuateAll's raw
+     * flush).
      */
-    void flushWritebacks();
+    void flushWritebacks() { flushWritebacks(context()); }
 
-    /** Dirty objects currently parked in the writeback buffer. */
-    std::uint64_t pendingWritebacks() const { return wbBuf.size(); }
+    /**
+     * Write every context's parked dirty objects home, unmetered (like
+     * evacuateAll's flush, which calls it). No worker may be running.
+     */
+    void drainWritebacks();
+
+    /** Dirty objects parked in writeback buffers, over all contexts. */
+    std::uint64_t pendingWritebacks() const { return parkedCount_.load(); }
 
     /**
      * Monotone counter bumped whenever any frame is unmapped (eviction
      * or evacuation). Guard-level inline caches compare it to detect
-     * that a cached object->frame translation may have gone stale; the
-     * concurrent runtime additionally uses it as the epoch-based
-     * reclamation clock (each retired frame is stamped with the bump
-     * its eviction produced).
+     * that a cached object->frame translation may have gone stale; it
+     * is also the epoch-based reclamation clock (each retired frame is
+     * stamped with the bump its eviction produced).
      */
     std::uint64_t evictionEpoch() const { return _evictionEpoch.load(); }
 
-    /** The calling thread's counter set (bound worker's, else main). */
-    const RuntimeStats &stats() const;
-    /** Main-thread counters plus every registered worker's (exact under
-     *  concurrency: each set is single-writer). */
+    /** The calling thread's counter set. */
+    const RuntimeStats &stats() const { return context().stats; }
+    /** Every context's counters summed (exact under concurrency: each
+     *  set is single-writer). */
     RuntimeStats mergedStats() const;
     void exportStats(StatSet &set) const;
 
@@ -301,168 +367,63 @@ class FarMemRuntime
     std::uint32_t obsStream() const { return obsStream_; }
     /** @} */
 
-  private:
-    /** One dirty object parked for a coalesced writeback. */
-    struct PendingWriteback
-    {
-        std::uint64_t objId = 0;
-        std::uint64_t parkCycle = 0; ///< clock when parked (residency)
-        std::vector<std::byte> data;
-    };
-
-    /** Find a frame for @p obj_id's shard, evicting a victim if needed
-     *  (deterministic single-thread path). */
-    std::uint64_t takeFrame(std::uint64_t obj_id);
-    /** Evict the object in @p frame_idx (writeback when dirty). */
-    void evictFrame(std::uint64_t frame_idx);
-    /**
-     * Evacuator decision feed: record (or replay-verify) the CLOCK
-     * sweep's victim choice, returning the victim to evict — during
-     * replay, the recorded one.
-     */
-    std::uint64_t evacDecision(std::uint64_t victim);
-    /** Demand-miss hook: train the prefetcher and issue lookahead. */
-    void onDemandMiss(std::uint64_t obj_id);
-    /** Flush the writeback buffer when size/age thresholds are hit. */
-    void maybeFlushWritebacks();
-    /** Index into wbBuf for @p obj_id, or -1 when not buffered. */
-    std::ptrdiff_t findPendingWriteback(std::uint64_t obj_id) const;
-    /** Epoch time-series snapshot (occupancy, buffer depth, wire bytes). */
-    void obsEpochSample();
-
-    RuntimeConfig cfg;
-    CostParams _costs;
-    CycleClock _clock;
-    std::unique_ptr<RemoteBackend> backend_;
-    ObjectStateTable ost;
-    FrameCache cache;
-    RegionAllocator alloc_;
-    StridePrefetcher prefetcher;
-    RuntimeStats _stats;
-    std::vector<PendingWriteback> wbBuf;
-    std::uint64_t wbOldestCycle = 0; ///< clock when wbBuf[0] was parked
-    /// Eviction-epoch clock; seq_cst (see DESIGN.md §4k reclamation
-    /// proof). Plain increments in the deterministic path compile to
-    /// the same uncontended RMW.
-    std::atomic<std::uint64_t> _evictionEpoch{0};
-    Observability *obs_ = nullptr;
-    std::uint32_t obsStream_ = 0;
-    FlightRecorder *rec_ = nullptr;
-    std::uint16_t recInstance_ = 0;
-    std::uint64_t lastMissObj = ~0ull; ///< inter-miss-distance tracking
-
-  public:
-    /** @name Concurrent runtime (DESIGN.md §4k)
+    /** @name Per-thread contexts (DESIGN.md §4k)
      *
-     * Worker threads register a WorkerContext each and bind it to their
-     * thread. Reads go through a lock-free fast path (one object-state
-     * snapshot inside an epoch section); misses and all writes take the
-     * object's frame-cache shard lock. Evicted frames park in the
-     * shard's limbo list until every worker has passed the eviction's
-     * epoch, so a lock-free reader can never touch a reused frame.
+     * A thread that binds a worker context routes clock(), stats() and
+     * its data-plane calls there; an unbound thread runs on the main
+     * context. On a concurrent runtime, reads go through a lock-free
+     * fast path (one object-state snapshot inside an epoch section);
+     * misses and all writes take the object's frame-cache shard lock.
+     * Evicted frames park in the shard's limbo list until every context
+     * has passed the eviction's epoch, so a lock-free reader can never
+     * touch a reused frame.
      *
-     * Lock order: shard mutex < worker wbMu / mainWbMu_ < netMu_.
-     * Epoch sections never acquire any lock (that is what makes the
-     * quiescence wait in takeFrameMt deadlock-free).
+     * Lock order: shard mutex < context wbMu < netMu_. Epoch sections
+     * never acquire any lock (that is what makes the quiescence wait in
+     * takeFrame deadlock-free).
      * @{ */
 
-    /** Quiescent epoch-slot value (worker not inside an epoch section). */
-    static constexpr std::uint64_t quiescentEpoch = ~0ull;
-
-    /** Per-worker-thread runtime state: private clock, private counter
-     *  set, epoch slot, and private dirty-writeback buffer. */
-    struct WorkerContext
-    {
-        CycleClock clock;     ///< this worker's simulated time
-        RuntimeStats stats;   ///< single-writer counters, merged on report
-        /// Epoch observed at epochEnter(), quiescentEpoch outside any
-        /// epoch section. seq_cst: the reclamation proof needs slot
-        /// stores and meta/epoch loads in one total order.
-        std::atomic<std::uint64_t> epochSlot{quiescentEpoch};
-        std::uint32_t index = 0;
-        FarMemRuntime *owner = nullptr;
-
-        std::mutex wbMu; ///< guards wbBuf (leaf lock, see lock order)
-        std::vector<PendingWriteback> wbBuf;
-        std::uint64_t wbOldestCycle = 0;
-    };
-
-    /** What a successful MT fast read hands the guard layer so it can
-     *  fill its last-object inline cache. */
-    struct MtFill
-    {
-        bool valid = false;
-        std::uint64_t objId = 0;
-        std::uint64_t epoch = 0; ///< eviction epoch the fill is valid for
-        std::byte *frameBase = nullptr;
-        ObjectMeta *meta = nullptr;
-        Frame *frame = nullptr;
-    };
-
-    /** Create a worker context (call before starting worker threads;
-     *  not thread-safe against running workers). */
+    /** Create a worker context on a concurrent runtime (call before
+     *  starting worker threads; not thread-safe against running ones). */
     WorkerContext *registerWorker();
-    /** Bind @p w to the calling thread; routes clock()/stats() here. */
+    /** Bind @p w to the calling thread. */
     void bindWorker(WorkerContext *w);
     /** Remove the calling thread's binding. */
     void unbindWorker();
-    /** The calling thread's bound context, or nullptr. */
-    WorkerContext *boundWorker() const;
+    /** The calling thread's context: its bound worker's, else main. */
+    WorkerContext &context();
+    const WorkerContext &context() const;
+    WorkerContext &mainContext() { return main_; }
     const std::vector<std::unique_ptr<WorkerContext>> &workers() const
     {
         return workers_;
     }
 
     /**
-     * Lock-free guarded read attempt: one raw() snapshot of the object
-     * state inside an epoch section; on a safe hit, copies @p len bytes
-     * at @p offset into @p dst, marks usage, and (optionally) fills
-     * @p fill for the guard inline cache. Returns false on any miss
-     * (remote, in flight) with no side effects.
+     * The shard lock of the object holding @p offset on a concurrent
+     * runtime, an empty lock otherwise (concurrency branch: the shard
+     * lock, taken only when concurrent).
      */
-    bool tryFastReadMt(WorkerContext &w, std::uint64_t offset, void *dst,
-                       std::size_t len, MtFill *fill);
+    std::unique_lock<std::mutex> shardLock(std::uint64_t offset);
 
     /**
-     * Validate a previous MtFill (the guard layer's last-object inline
-     * cache) inside an epoch section and, on a hit, copy out through
-     * it. An unchanged eviction epoch proves the object->frame
+     * Lock-free guarded read attempt (concurrency branch: the epoch
+     * reader, used only when concurrent): one raw() snapshot of the
+     * object state inside an epoch section; on a safe hit, copies
+     * @p len bytes at @p offset into @p dst, marks usage, and fills
+     * @p fill. Returns false on any miss with no side effects.
+     */
+    bool tryFastReadMt(WorkerContext &w, std::uint64_t offset, void *dst,
+                       std::size_t len, LastObjectCache *fill);
+
+    /**
+     * Validate @p fill inside an epoch section and, on a hit, copy out
+     * through it. An unchanged eviction epoch proves the object->frame
      * translation is still live; any eviction since the fill misses and
      * the guard falls back to tryFastReadMt, which refills.
      */
-    bool tryCachedReadMt(WorkerContext &w, const MtFill &fill,
+    bool tryCachedReadMt(WorkerContext &w, const LastObjectCache &fill,
                          std::uint64_t offset, void *dst, std::size_t len);
-
-    /**
-     * Slow-path guarded read: takes the object's shard lock, localizes
-     * if needed (stealing a parked writeback copy or fetching), and
-     * copies out under the lock.
-     */
-    void localizeReadMt(WorkerContext &w, std::uint64_t offset, void *dst,
-                        std::size_t len, MtFill *fill,
-                        Localized *outcome = nullptr);
-
-    /**
-     * Guarded write: always takes the shard lock (no lock-free write
-     * path — two racing writers to one object must serialize), localizes
-     * if needed, copies @p src in, and marks the object dirty.
-     * @p was_present reports whether the object was already local (the
-     * guard layer charges the fast- or slow-path write cost on it).
-     */
-    void localizeWriteMt(WorkerContext &w, std::uint64_t offset,
-                         const void *src, std::size_t len,
-                         bool *was_present, Localized *outcome = nullptr);
-
-    /** Push @p w's parked dirty objects to the remote tier as one
-     *  coalesced message (metered; takes wbMu then netMu_). */
-    void flushWorkerWritebacks(WorkerContext &w);
-
-    /**
-     * Main-thread drain of every worker's parked writebacks after the
-     * workers have been joined (unmetered raw writes, like
-     * evacuateAll's flush).
-     */
-    void drainWorkerWritebacks();
 
     /** @} */
 
@@ -474,29 +435,75 @@ class FarMemRuntime
         w.epochSlot.store(_evictionEpoch.load());
     }
     void epochExit(WorkerContext &w) { w.epochSlot.store(quiescentEpoch); }
-    /** Minimum epoch slot over all workers (quiescent = +inf). */
+    /** Minimum epoch slot over all contexts (quiescent = +inf). */
     std::uint64_t minActiveEpoch() const;
-    /** Frame acquisition under @p shard's lock: alloc, reclaim limbo,
-     *  evict, or spin-yield for reader quiescence. */
-    std::uint64_t takeFrameMt(WorkerContext &w, std::uint32_t shard);
-    /** Unmap + retire the frame to limbo (caller holds the shard lock);
-     *  dirty payloads park in @p w's private buffer. */
-    void evictFrameMt(WorkerContext &w, std::uint32_t shard,
-                      std::uint64_t frame_idx);
-    /** Synchronous fetch on the shared device clock (netMu_; jumps the
-     *  device clock to @p w's time and back). */
-    void fetchMt(WorkerContext &w, std::uint64_t obj_id, std::byte *data);
-    /** Pull a parked dirty copy of @p obj_id out of any writeback
-     *  buffer (workers' and the main thread's) into @p dst. */
-    bool stealParkedWriteback(std::uint64_t obj_id, std::byte *dst);
-    /** Size/age-triggered flush of @p w's buffer. */
-    void maybeFlushWorkerWritebacks(WorkerContext &w);
+
+    /** Frame for @p obj_id's shard (caller holds the shard lock when
+     *  concurrent): alloc, reclaim limbo, evict, or yield until a
+     *  lock-free reader quiesces. */
+    std::uint64_t takeFrame(WorkerContext &w, std::uint64_t obj_id);
+    /** Evict the object in @p frame_idx: dirty payloads park in @p w's
+     *  buffer (or go straight home when unbatched); the frame retires
+     *  to limbo and is reclaimed at minActiveEpoch(), at once when no
+     *  context is inside an epoch section. */
+    void evictFrame(WorkerContext &w, std::uint64_t frame_idx);
+    /**
+     * Evacuator decision feed: record (or replay-verify) the CLOCK
+     * sweep's victim choice, returning the victim to evict — during
+     * replay, the recorded one.
+     */
+    std::uint64_t evacDecision(std::uint64_t victim);
+    /** Demand fetch of @p obj_id into @p data on @p w's timeline. */
+    void fetch(WorkerContext &w, std::uint64_t obj_id, std::byte *data);
+    /** Run a metered backend write with the device clock at @p w's
+     *  time, then carry its completion back (netMu_; both jumps are
+     *  no-ops on the main context, whose clock is the device clock). */
+    template <typename Op> void onDeviceClock(WorkerContext &w, Op &&op);
+    /** Demand-miss hook: train the prefetcher and issue lookahead. */
+    void onDemandMiss(std::uint64_t obj_id);
+    /** Push @p w's parked objects home as one coalesced message. */
+    void flushWritebacks(WorkerContext &w);
+    /** Flush @p w's buffer when its size/age thresholds are hit. */
+    void maybeFlushWritebacks(WorkerContext &w);
+    /**
+     * The one parked-writeback lookup: find @p obj_id's parked copy in
+     * whichever context's buffer holds it and run @p fn(ctx, it) under
+     * that buffer's lock. False (without a scan) when nothing is parked.
+     */
+    template <typename Fn> bool withParked(std::uint64_t obj_id, Fn &&fn);
+    /** Trace/obs sink for @p w: the main context's only (concurrency
+     *  branch: emission stays single-writer). */
+    Observability *
+    obsFor(const WorkerContext &w) const
+    {
+        return &w == &main_ ? obs_ : nullptr;
+    }
+    /** Epoch time-series snapshot (occupancy, buffer depth, wire bytes). */
+    void obsEpochSample();
+
+    RuntimeConfig cfg;
+    CostParams _costs;
+    WorkerContext main_; ///< before backend_, which holds its clock
+    std::unique_ptr<RemoteBackend> backend_;
+    ObjectStateTable ost;
+    FrameCache cache;
+    RegionAllocator alloc_;
+    StridePrefetcher prefetcher;
+    /// Eviction-epoch clock; seq_cst (see DESIGN.md §4k reclamation
+    /// proof).
+    std::atomic<std::uint64_t> _evictionEpoch{0};
+    Observability *obs_ = nullptr;
+    std::uint32_t obsStream_ = 0;
+    FlightRecorder *rec_ = nullptr;
+    std::uint16_t recInstance_ = 0;
+    std::uint64_t lastMissObj = ~0ull; ///< inter-miss-distance tracking
 
     std::vector<std::unique_ptr<WorkerContext>> workers_;
-    std::mutex netMu_;    ///< serializes shared backend/device access
-    std::mutex allocMu_;  ///< serializes the region allocator when concurrent
-    std::mutex mainWbMu_; ///< workers stealing from the main-thread wbBuf
-    std::atomic<std::uint64_t> parkedCount_{0}; ///< hint: skip steal scans
+    std::mutex netMu_;   ///< serializes shared backend/device access
+    std::mutex allocMu_; ///< serializes the region allocator
+    /// Parked writebacks over all contexts: the short-cut that lets
+    /// rawRead/rawWrite and misses skip the lookup when it is zero.
+    std::atomic<std::uint64_t> parkedCount_{0};
     static thread_local WorkerContext *tlsWorker_;
 };
 

@@ -13,7 +13,10 @@ namespace tfm
 TfmRuntime::TfmRuntime(const RuntimeConfig &config,
                        const CostParams &cost_params)
     : rt(tagged(config), cost_params)
-{}
+{
+    main_.rt = &rt.mainContext();
+    main_.owner = this;
+}
 
 TfmRuntime::~TfmRuntime() = default;
 
@@ -96,9 +99,9 @@ TfmRuntime::evacuatePaged()
 }
 
 void
-TfmRuntime::recordGuard(std::uint64_t addr, GuardPath path)
+TfmRuntime::recordMainGuard(std::uint64_t addr, GuardPath path)
 {
-    const std::uint64_t now = rt.clock().now();
+    const std::uint64_t now = rt.mainClock().now();
     gtrace.record(addr, now, path);
     switch (path) {
     case GuardPath::CustodyReject:
@@ -117,105 +120,72 @@ TfmRuntime::recordGuard(std::uint64_t addr, GuardPath path)
 }
 
 void
-TfmRuntime::cacheFill(std::uint64_t obj_id, std::uint64_t offset,
-                      std::byte *ptr)
+TfmRuntime::custodyReject(Worker &w, std::uint64_t addr)
+{
+    // Custody check fails: this is not a TrackFM pointer; the original
+    // access runs directly (~4 instructions).
+    w.rt->clock.advance(costs().custodyRejectCycles);
+    w.gstats.custodyRejects++;
+    recordGuard(w, addr, GuardPath::CustodyReject);
+}
+
+void
+TfmRuntime::cacheFill(Worker &w, std::uint64_t offset, std::byte *ptr)
 {
     if (!rt.config().guardCacheEnabled)
         return;
+    const std::uint64_t obj_id = rt.stateTable().objectOf(offset);
     ObjectMeta &meta = rt.stateTable()[obj_id];
-    lastObjCache.objId = obj_id;
-    lastObjCache.epoch = rt.evictionEpoch();
-    lastObjCache.frameBase = ptr - rt.stateTable().offsetInObject(offset);
-    lastObjCache.meta = &meta;
-    lastObjCache.frame = &rt.frameCache().frame(meta.frame());
+    w.cache.objId = obj_id;
+    w.cache.epoch = rt.evictionEpoch();
+    w.cache.frameBase = ptr - rt.stateTable().offsetInObject(offset);
+    w.cache.meta = &meta;
+    w.cache.frame = &rt.frameCache().frame(meta.frame());
 }
 
+template <bool ForWrite>
 std::byte *
-TfmRuntime::guardRead(std::uint64_t addr)
+TfmRuntime::guardTagged(Worker &w, std::uint64_t addr)
 {
-    if (!tfmIsTagged(addr)) {
-        // Custody check fails: this is not a TrackFM pointer; perform
-        // the original load directly (~4 instructions).
-        rt.clock().advance(costs().custodyRejectCycles);
-        gstats.custodyRejects++;
-        recordGuard(addr, GuardPath::CustodyReject);
-        return reinterpret_cast<std::byte *>(addr);
-    }
-
-    const std::uint64_t offset = tfmOffsetOf(addr);
-    if (std::byte *cached = cacheLookup(offset, /*for_write=*/false)) {
-        // Same object as the previous guard: skip the state-table
-        // lookup and charge only the inline-cache hit.
-        rt.clock().advance(costs().guardCacheHitReadCycles);
-        gstats.fastReads++;
-        gstats.cacheHitReads++;
-        recordGuard(addr, GuardPath::FastRead);
+    // Same object as the previous guard: skip the state-table lookup
+    // and charge only the inline-cache hit.
+    if (std::byte *cached = cacheHit<ForWrite>(w, addr))
         return cached;
-    }
-    std::byte *fast = rt.tryFast(offset, /*for_write=*/false);
-    if (fast) {
-        rt.clock().advance(costs().fastPathReadCycles);
-        gstats.fastReads++;
-        recordGuard(addr, GuardPath::FastRead);
-        cacheFill(rt.stateTable().objectOf(offset), offset, fast);
+    const CostParams &c = costs();
+    const std::uint64_t offset = tfmOffsetOf(addr);
+    if (std::byte *fast = rt.tryFast(offset, ForWrite)) {
+        w.rt->clock.advance(ForWrite ? c.fastPathWriteCycles
+                                     : c.fastPathReadCycles);
+        (ForWrite ? w.gstats.fastWrites : w.gstats.fastReads)++;
+        recordGuard(w, addr,
+                    ForWrite ? GuardPath::FastWrite : GuardPath::FastRead);
+        cacheFill(w, offset, fast);
         return fast;
     }
 
     // Slow path: runtime call, which may block on a remote fetch.
-    rt.clock().advance(costs().slowPathReadCycles);
+    w.rt->clock.advance(ForWrite ? c.slowPathWriteCycles
+                                 : c.slowPathReadCycles);
     FarMemRuntime::Localized outcome;
-    std::byte *data = rt.localize(offset, /*for_write=*/false, &outcome);
+    std::byte *data = rt.localize(*w.rt, offset, ForWrite, &outcome);
     if (outcome == FarMemRuntime::Localized::RemoteFetch) {
-        gstats.slowRemoteReads++;
-        recordGuard(addr, GuardPath::SlowRemoteRead);
+        (ForWrite ? w.gstats.slowRemoteWrites : w.gstats.slowRemoteReads)++;
+        recordGuard(w, addr,
+                    ForWrite ? GuardPath::SlowRemoteWrite
+                             : GuardPath::SlowRemoteRead);
     } else {
-        gstats.slowLocalReads++;
-        recordGuard(addr, GuardPath::SlowLocalRead);
+        (ForWrite ? w.gstats.slowLocalWrites : w.gstats.slowLocalReads)++;
+        recordGuard(w, addr,
+                    ForWrite ? GuardPath::SlowLocalWrite
+                             : GuardPath::SlowLocalRead);
     }
-    cacheFill(rt.stateTable().objectOf(offset), offset, data);
+    cacheFill(w, offset, data);
     return data;
 }
 
-std::byte *
-TfmRuntime::guardWrite(std::uint64_t addr)
-{
-    if (!tfmIsTagged(addr)) {
-        rt.clock().advance(costs().custodyRejectCycles);
-        gstats.custodyRejects++;
-        recordGuard(addr, GuardPath::CustodyReject);
-        return reinterpret_cast<std::byte *>(addr);
-    }
-
-    const std::uint64_t offset = tfmOffsetOf(addr);
-    if (std::byte *cached = cacheLookup(offset, /*for_write=*/true)) {
-        rt.clock().advance(costs().guardCacheHitWriteCycles);
-        gstats.fastWrites++;
-        gstats.cacheHitWrites++;
-        recordGuard(addr, GuardPath::FastWrite);
-        return cached;
-    }
-    std::byte *fast = rt.tryFast(offset, /*for_write=*/true);
-    if (fast) {
-        rt.clock().advance(costs().fastPathWriteCycles);
-        gstats.fastWrites++;
-        recordGuard(addr, GuardPath::FastWrite);
-        cacheFill(rt.stateTable().objectOf(offset), offset, fast);
-        return fast;
-    }
-
-    rt.clock().advance(costs().slowPathWriteCycles);
-    FarMemRuntime::Localized outcome;
-    std::byte *data = rt.localize(offset, /*for_write=*/true, &outcome);
-    if (outcome == FarMemRuntime::Localized::RemoteFetch) {
-        gstats.slowRemoteWrites++;
-        recordGuard(addr, GuardPath::SlowRemoteWrite);
-    } else {
-        gstats.slowLocalWrites++;
-        recordGuard(addr, GuardPath::SlowLocalWrite);
-    }
-    cacheFill(rt.stateTable().objectOf(offset), offset, data);
-    return data;
-}
+// guardRead/guardWrite instantiate both bodies from the header.
+template std::byte *TfmRuntime::guardTagged<false>(Worker &, std::uint64_t);
+template std::byte *TfmRuntime::guardTagged<true>(Worker &, std::uint64_t);
 
 thread_local TfmRuntime::Worker *TfmRuntime::tlsWorker_ = nullptr;
 
@@ -224,7 +194,6 @@ TfmRuntime::registerWorker()
 {
     auto w = std::make_unique<Worker>();
     w->owner = this;
-    w->index = static_cast<std::uint32_t>(workers_.size());
     w->rt = rt.registerWorker();
     workers_.push_back(std::move(w));
     return workers_.back().get();
@@ -245,118 +214,51 @@ TfmRuntime::unbindWorker()
     rt.unbindWorker();
 }
 
-TfmRuntime::Worker *
-TfmRuntime::boundWorker() const
-{
-    Worker *w = tlsWorker_;
-    return (w && w->owner == this) ? w : nullptr;
-}
-
 GuardStats
 TfmRuntime::mergedGuardStats() const
 {
-    GuardStats total = gstats;
+    GuardStats total = main_.gstats;
     for (const auto &w : workers_)
         total += w->gstats;
     return total;
 }
 
 void
-TfmRuntime::readGuardedMt(Worker &w, std::uint64_t addr, void *dst,
-                          std::size_t len)
-{
-    auto *out = static_cast<std::byte *>(dst);
-    const auto &table = rt.stateTable();
-    std::size_t done = 0;
-    while (done < len) {
-        const std::uint64_t at = addr + done;
-        const std::uint64_t offset = tfmOffsetOf(at);
-        const std::uint64_t in_obj = table.offsetInObject(offset);
-        const std::size_t piece = std::min<std::size_t>(
-            len - done, table.objectSize() - in_obj);
-        if (rt.tryCachedReadMt(*w.rt, w.cache, offset, out + done,
-                               piece)) {
-            w.rt->clock.advance(costs().guardCacheHitReadCycles);
-            w.gstats.fastReads++;
-            w.gstats.cacheHitReads++;
-        } else if (rt.tryFastReadMt(*w.rt, offset, out + done, piece,
-                                    &w.cache)) {
-            w.rt->clock.advance(costs().fastPathReadCycles);
-            w.gstats.fastReads++;
-        } else {
-            w.rt->clock.advance(costs().slowPathReadCycles);
-            FarMemRuntime::Localized outcome;
-            rt.localizeReadMt(*w.rt, offset, out + done, piece, &w.cache,
-                              &outcome);
-            if (outcome == FarMemRuntime::Localized::RemoteFetch)
-                w.gstats.slowRemoteReads++;
-            else
-                w.gstats.slowLocalReads++;
-        }
-        done += piece;
-    }
-}
-
-void
-TfmRuntime::writeGuardedMt(Worker &w, std::uint64_t addr, const void *src,
-                           std::size_t len)
-{
-    const auto *in = static_cast<const std::byte *>(src);
-    const auto &table = rt.stateTable();
-    std::size_t done = 0;
-    while (done < len) {
-        const std::uint64_t at = addr + done;
-        const std::uint64_t offset = tfmOffsetOf(at);
-        const std::uint64_t in_obj = table.offsetInObject(offset);
-        const std::size_t piece = std::min<std::size_t>(
-            len - done, table.objectSize() - in_obj);
-        bool was_present = false;
-        FarMemRuntime::Localized outcome;
-        rt.localizeWriteMt(*w.rt, offset, in + done, piece, &was_present,
-                           &outcome);
-        if (was_present) {
-            w.rt->clock.advance(costs().fastPathWriteCycles);
-            w.gstats.fastWrites++;
-        } else {
-            w.rt->clock.advance(costs().slowPathWriteCycles);
-            if (outcome == FarMemRuntime::Localized::RemoteFetch)
-                w.gstats.slowRemoteWrites++;
-            else
-                w.gstats.slowLocalWrites++;
-        }
-        done += piece;
-    }
-}
-
-void
 TfmRuntime::readGuarded(std::uint64_t addr, void *dst, std::size_t len)
 {
-    if (Worker *w = boundWorker()) {
-        if (!tfmIsTagged(addr)) {
-            w->rt->clock.advance(costs().custodyRejectCycles);
-            w->gstats.custodyRejects++;
-            std::memcpy(dst, reinterpret_cast<const void *>(addr), len);
-            return;
-        }
-        readGuardedMt(*w, addr, dst, len);
-        return;
-    }
+    Worker &w = worker();
     if (!tfmIsTagged(addr)) {
-        rt.clock().advance(costs().custodyRejectCycles);
-        gstats.custodyRejects++;
-        recordGuard(addr, GuardPath::CustodyReject);
+        custodyReject(w, addr);
         std::memcpy(dst, reinterpret_cast<const void *>(addr), len);
         return;
     }
     auto *out = static_cast<std::byte *>(dst);
+    const CostParams &c = costs();
     const auto &table = rt.stateTable();
+    const bool lock_free = rt.config().concurrent;
     std::size_t done = 0;
     while (done < len) {
         const std::uint64_t at = addr + done;
-        const std::uint64_t in_obj = table.offsetInObject(tfmOffsetOf(at));
+        const std::uint64_t offset = tfmOffsetOf(at);
         const std::size_t piece = std::min<std::size_t>(
-            len - done, table.objectSize() - in_obj);
-        std::memcpy(out + done, guardRead(at), piece);
+            len - done, table.objectSize() - table.offsetInObject(offset));
+        // Concurrency branch: the lock-free epoch reader (inline cache,
+        // then one state-table snapshot) before any lock is taken.
+        if (lock_free &&
+            rt.tryCachedReadMt(*w.rt, w.cache, offset, out + done, piece)) {
+            w.rt->clock.advance(c.guardCacheHitReadCycles);
+            w.gstats.fastReads++;
+            w.gstats.cacheHitReads++;
+            recordGuard(w, at, GuardPath::FastRead);
+        } else if (lock_free && rt.tryFastReadMt(*w.rt, offset, out + done,
+                                                 piece, &w.cache)) {
+            w.rt->clock.advance(c.fastPathReadCycles);
+            w.gstats.fastReads++;
+            recordGuard(w, at, GuardPath::FastRead);
+        } else {
+            const auto lock = rt.shardLock(offset);
+            std::memcpy(out + done, guardTagged<false>(w, at), piece);
+        }
         done += piece;
     }
 }
@@ -365,20 +267,9 @@ void
 TfmRuntime::writeGuarded(std::uint64_t addr, const void *src,
                          std::size_t len)
 {
-    if (Worker *w = boundWorker()) {
-        if (!tfmIsTagged(addr)) {
-            w->rt->clock.advance(costs().custodyRejectCycles);
-            w->gstats.custodyRejects++;
-            std::memcpy(reinterpret_cast<void *>(addr), src, len);
-            return;
-        }
-        writeGuardedMt(*w, addr, src, len);
-        return;
-    }
+    Worker &w = worker();
     if (!tfmIsTagged(addr)) {
-        rt.clock().advance(costs().custodyRejectCycles);
-        gstats.custodyRejects++;
-        recordGuard(addr, GuardPath::CustodyReject);
+        custodyReject(w, addr);
         std::memcpy(reinterpret_cast<void *>(addr), src, len);
         return;
     }
@@ -387,10 +278,13 @@ TfmRuntime::writeGuarded(std::uint64_t addr, const void *src,
     std::size_t done = 0;
     while (done < len) {
         const std::uint64_t at = addr + done;
-        const std::uint64_t in_obj = table.offsetInObject(tfmOffsetOf(at));
+        const std::uint64_t offset = tfmOffsetOf(at);
         const std::size_t piece = std::min<std::size_t>(
-            len - done, table.objectSize() - in_obj);
-        std::memcpy(guardWrite(at), in + done, piece);
+            len - done, table.objectSize() - table.offsetInObject(offset));
+        // No lock-free write path: two writers to one object serialize
+        // on its shard lock (taken only when concurrent).
+        const auto lock = rt.shardLock(offset);
+        std::memcpy(guardTagged<true>(w, at), in + done, piece);
         done += piece;
     }
 }
@@ -400,15 +294,16 @@ TfmRuntime::localityGuard(std::uint64_t addr, std::uint64_t prev_obj,
                           bool for_write)
 {
     const std::uint64_t offset = tfmOffsetOf(addr);
-    rt.clock().advance(costs().localityGuardCycles);
-    gstats.localityGuards++;
+    Worker &w = worker();
+    w.rt->clock.advance(costs().localityGuardCycles);
+    w.gstats.localityGuards++;
     FarMemRuntime::Localized outcome;
-    std::byte *data = rt.localize(offset, for_write, &outcome);
+    std::byte *data = rt.localize(*w.rt, offset, for_write, &outcome);
     if (outcome == FarMemRuntime::Localized::RemoteFetch) {
-        gstats.localityRemotes++;
-        recordGuard(addr, GuardPath::LocalityRemote);
+        w.gstats.localityRemotes++;
+        recordGuard(w, addr, GuardPath::LocalityRemote);
     } else {
-        recordGuard(addr, GuardPath::LocalityLocal);
+        recordGuard(w, addr, GuardPath::LocalityLocal);
     }
     const std::uint64_t obj_id = rt.stateTable().objectOf(offset);
     rt.pinObject(obj_id);

@@ -53,8 +53,9 @@ class TfmRuntime
     const FarMemRuntime &runtime() const { return rt; }
     const CostParams &costs() const { return rt.costs(); }
     CycleClock &clock() { return rt.clock(); }
-    GuardStats &guardStats() { return gstats; }
-    const GuardStats &guardStats() const { return gstats; }
+    /** The main thread's guard counters. */
+    GuardStats &guardStats() { return main_.gstats; }
+    const GuardStats &guardStats() const { return main_.gstats; }
     /** Optional section 3.3 debug instrumentation. */
     GuardTrace &guardTrace() { return gtrace; }
     const GuardTrace &guardTrace() const { return gtrace; }
@@ -132,10 +133,18 @@ class TfmRuntime
      * cycle charges; untagged pointers take the ~4-instruction custody
      * rejection and are returned unchanged as host pointers.
      */
-    std::byte *guardRead(std::uint64_t addr);
+    std::byte *
+    guardRead(std::uint64_t addr)
+    {
+        return guard<false>(worker(), addr);
+    }
 
     /** Guard a write; identical shape, write-path costs, sets dirty. */
-    std::byte *guardWrite(std::uint64_t addr);
+    std::byte *
+    guardWrite(std::uint64_t addr)
+    {
+        return guard<true>(worker(), addr);
+    }
 
     /**
      * Inline-cache-only guard probe for dispatch loops that want to
@@ -153,21 +162,8 @@ class TfmRuntime
     {
         if (!tfmIsTagged(addr))
             return nullptr;
-        std::byte *cached = cacheLookup(tfmOffsetOf(addr), for_write);
-        if (!cached)
-            return nullptr;
-        if (for_write) {
-            rt.clock().advance(costs().guardCacheHitWriteCycles);
-            gstats.fastWrites++;
-            gstats.cacheHitWrites++;
-            gtrace.record(addr, rt.clock().now(), GuardPath::FastWrite);
-        } else {
-            rt.clock().advance(costs().guardCacheHitReadCycles);
-            gstats.fastReads++;
-            gstats.cacheHitReads++;
-            gtrace.record(addr, rt.clock().now(), GuardPath::FastRead);
-        }
-        return cached;
+        Worker &w = worker();
+        return for_write ? cacheHit<true>(w, addr) : cacheHit<false>(w, addr);
     }
 
     /**
@@ -185,14 +181,15 @@ class TfmRuntime
     bool
     revalidate(std::uint64_t addr, std::uint64_t armed_epoch)
     {
-        rt.clock().advance(costs().revalidateCycles);
-        gstats.revalidations++;
+        Worker &w = worker();
+        w.rt->clock.advance(costs().revalidateCycles);
+        w.gstats.revalidations++;
         if (armed_epoch == rt.evictionEpoch()) {
-            gstats.revalidationHits++;
-            recordGuard(addr, GuardPath::Revalidate);
+            w.gstats.revalidationHits++;
+            recordGuard(w, addr, GuardPath::Revalidate);
             return true;
         }
-        gstats.revalidationMisses++;
+        w.gstats.revalidationMisses++;
         return false;
     }
 
@@ -207,25 +204,23 @@ class TfmRuntime
     /** Guarded multi-byte write; one guard per object touched. */
     void writeGuarded(std::uint64_t addr, const void *src, std::size_t len);
 
-    /** @name Concurrent guard layer (DESIGN.md §4k)
+    /** @name Per-thread guard contexts (DESIGN.md §4k)
      *
-     * One Worker per serving thread, pairing the FarMemRuntime worker
-     * context with a private GuardStats set and a private last-object
-     * inline cache. A thread that has bound a Worker routes
-     * readGuarded/writeGuarded through the MT paths: reads are
-     * lock-free until they miss (inline cache, then one state-table
-     * snapshot inside an epoch section), writes and misses take the
-     * object's frame-cache shard lock. MT guards copy through the
-     * runtime instead of returning host pointers, so no reference can
-     * outlive its epoch section; guardRead/guardWrite (pointer-
-     * returning) and the loop-chunk calls stay single-thread-only.
+     * Every guard runs on a Worker: the FarMemRuntime context it
+     * charges, a private GuardStats set and a private last-object
+     * inline cache. The main thread owns an implicit one; each serving
+     * thread of a concurrent runtime registers and binds its own. On a
+     * concurrent runtime readGuarded tries the lock-free epoch reader
+     * first, and every other guard step runs under the object's shard
+     * lock, copying through the runtime so no host pointer outlives it.
+     * guardRead/guardWrite (pointer-returning) and the loop-chunk calls
+     * stay single-thread-only.
      * @{ */
     struct Worker
     {
         FarMemRuntime::WorkerContext *rt = nullptr;
-        GuardStats gstats;           ///< single-writer, merged on report
-        FarMemRuntime::MtFill cache; ///< private last-object inline cache
-        std::uint32_t index = 0;
+        GuardStats gstats; ///< single-writer, merged on report
+        FarMemRuntime::LastObjectCache cache; ///< last-object inline cache
         TfmRuntime *owner = nullptr;
     };
 
@@ -234,7 +229,13 @@ class TfmRuntime
     /** Bind @p w (and its runtime context) to the calling thread. */
     void bindWorker(Worker *w);
     void unbindWorker();
-    Worker *boundWorker() const;
+    /** The calling thread's worker: its bound one, else the main one. */
+    Worker &
+    worker()
+    {
+        Worker *w = tlsWorker_;
+        return (w && w->owner == this) ? *w : main_;
+    }
     const std::vector<std::unique_ptr<Worker>> &tfmWorkers() const
     {
         return workers_;
@@ -279,8 +280,9 @@ class TfmRuntime
     void
     boundaryCheck()
     {
-        rt.clock().advance(costs().boundaryCheckCycles);
-        gstats.boundaryChecks++;
+        Worker &w = worker();
+        w.rt->clock.advance(costs().boundaryCheckCycles);
+        w.gstats.boundaryChecks++;
     }
 
     /** Release the pin taken by the last locality guard of a loop. */
@@ -305,7 +307,7 @@ class TfmRuntime
         const std::uint64_t obj_id =
             rt.stateTable().objectOf(tfmOffsetOf(addr));
         rt.prefetchObjects(obj_id, stride, count);
-        gstats.prefetchCalls++;
+        main_.gstats.prefetchCalls++;
     }
 
     /** @name Initialization helpers (no cycle accounting)
@@ -337,34 +339,48 @@ class TfmRuntime
     void zeroFill(std::uint64_t addr, std::size_t bytes);
 
     /**
-     * Last-object inline cache (the guard-level analogue of an MMU's
-     * micro-TLB): the translation produced by the most recent guard.
-     * A hit requires the same object id, an unchanged eviction epoch,
-     * and a still-safe meta word — so a cached host pointer can never
-     * outlive the frame mapping it refers to.
+     * Record a guard outcome on the main worker: always into the
+     * GuardTrace ring, and the slow paths additionally as instant
+     * events on the observability app track (fast paths stay off the
+     * trace to keep it bounded). Other workers record nothing: both
+     * sinks are single-writer.
      */
-    struct LastObjectCache
+    void
+    recordGuard(Worker &w, std::uint64_t addr, GuardPath path)
     {
-        std::uint64_t objId = ~0ull;
-        std::uint64_t epoch = ~0ull;    ///< runtime evictionEpoch at fill
-        std::byte *frameBase = nullptr; ///< host pointer to frame byte 0
-        ObjectMeta *meta = nullptr;
-        Frame *frame = nullptr;
-    };
+        if (&w == &main_)
+            recordMainGuard(addr, path);
+    }
+    void recordMainGuard(std::uint64_t addr, GuardPath path);
+
+    /** Charge a custody rejection (untagged pointer, ~4 instructions). */
+    void custodyReject(Worker &w, std::uint64_t addr);
 
     /**
-     * Record a guard outcome: always into the GuardTrace ring, and the
-     * slow paths additionally as instant events on the observability
-     * app track (fast paths stay off the trace to keep it bounded).
+     * The guard body for a tagged @p addr: inline cache, fast path,
+     * then the runtime's localize. On a concurrent runtime the caller
+     * holds the object's shard lock.
      */
-    void recordGuard(std::uint64_t addr, GuardPath path);
+    template <bool ForWrite>
+    std::byte *guardTagged(Worker &w, std::uint64_t addr);
+    /** Public guard entry: custody check, then guardTagged. */
+    template <bool ForWrite>
+    std::byte *
+    guard(Worker &w, std::uint64_t addr)
+    {
+        if (!tfmIsTagged(addr)) {
+            custodyReject(w, addr);
+            return reinterpret_cast<std::byte *>(addr);
+        }
+        return guardTagged<ForWrite>(w, addr);
+    }
 
-    /** Try the inline cache; returns the host pointer or nullptr.
+    /** Try @p w's inline cache; returns the host pointer or nullptr.
      *  Inline so guardCacheFastPath probes fully in-line from the
      *  bytecode dispatch loop. A miss has no side effects, so probing
      *  twice (probe, then the fallback guard's own lookup) is safe. */
     std::byte *
-    cacheLookup(std::uint64_t offset, bool for_write)
+    cacheLookup(Worker &w, std::uint64_t offset, bool for_write)
     {
         if (!rt.config().guardCacheEnabled)
             return nullptr;
@@ -372,29 +388,41 @@ class TfmRuntime
         // since the fill: a hit therefore proves the object->frame
         // translation (and thus frameBase) is still live, never a
         // stale host pointer.
-        if (rt.stateTable().objectOf(offset) != lastObjCache.objId ||
-            lastObjCache.epoch != rt.evictionEpoch() ||
-            !lastObjCache.meta->safeForFastPath()) {
+        const FarMemRuntime::LastObjectCache &c = w.cache;
+        if (rt.stateTable().objectOf(offset) != c.objId ||
+            c.epoch != rt.evictionEpoch() || !c.meta->safeForFastPath()) {
             return nullptr;
         }
-        lastObjCache.frame->refbit = true;
-        lastObjCache.meta->setHot();
+        c.frame->refbit = true;
+        c.meta->setHot();
         if (for_write)
-            lastObjCache.meta->setDirty();
-        return lastObjCache.frameBase +
-               rt.stateTable().offsetInObject(offset);
+            c.meta->setDirty();
+        return c.frameBase + rt.stateTable().offsetInObject(offset);
     }
-    /** Refill the inline cache after a successful guard translation. */
-    void cacheFill(std::uint64_t obj_id, std::uint64_t offset,
-                   std::byte *ptr);
-
-    /** MT guard bodies (the bound-worker route of read/writeGuarded).
-     *  Skip the trace ring and observability: those are single-writer
-     *  structures, and the MT data plane keeps them main-thread-only. */
-    void readGuardedMt(Worker &w, std::uint64_t addr, void *dst,
-                       std::size_t len);
-    void writeGuardedMt(Worker &w, std::uint64_t addr, const void *src,
-                        std::size_t len);
+    /** An inline-cache hit with its full fast-path accounting, or
+     *  nullptr with none. */
+    template <bool ForWrite>
+    std::byte *
+    cacheHit(Worker &w, std::uint64_t addr)
+    {
+        std::byte *cached = cacheLookup(w, tfmOffsetOf(addr), ForWrite);
+        if (!cached)
+            return nullptr;
+        if constexpr (ForWrite) {
+            w.rt->clock.advance(costs().guardCacheHitWriteCycles);
+            w.gstats.fastWrites++;
+            w.gstats.cacheHitWrites++;
+            recordGuard(w, addr, GuardPath::FastWrite);
+        } else {
+            w.rt->clock.advance(costs().guardCacheHitReadCycles);
+            w.gstats.fastReads++;
+            w.gstats.cacheHitReads++;
+            recordGuard(w, addr, GuardPath::FastRead);
+        }
+        return cached;
+    }
+    /** Refill @p w's inline cache after a successful guard translation. */
+    void cacheFill(Worker &w, std::uint64_t offset, std::byte *ptr);
 
     /** The paged plane, or create it on first paged allocation. */
     SwapModel &ensurePaged();
@@ -402,9 +430,8 @@ class TfmRuntime
     void pagedTouch(std::uint64_t addr, std::size_t len, bool for_write);
 
     FarMemRuntime rt;
-    GuardStats gstats;
+    Worker main_; ///< the main thread's implicit worker
     GuardTrace gtrace;
-    LastObjectCache lastObjCache;
     std::unique_ptr<SwapModel> paged_;
     std::vector<std::unique_ptr<Worker>> workers_;
     static thread_local Worker *tlsWorker_;

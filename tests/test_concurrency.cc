@@ -5,8 +5,10 @@
  * reclamation, multi-shard single-thread correctness, a multi-thread
  * pointer-chase stress with eviction churn (run under tsan by
  * tools/check_build.sh), per-worker counter exactness against a
- * sequential replay of the same traces, and the concurrent serving
- * scheduler.
+ * sequential replay of the same traces, the deterministic mode as the
+ * one-worker case, the writeback handoff between contexts, the
+ * configurations the concurrent runtime rejects, and the concurrent
+ * serving scheduler.
  */
 
 #include <gtest/gtest.h>
@@ -16,10 +18,13 @@
 #include <thread>
 #include <vector>
 
+#include "obs/flight_recorder.hh"
 #include "runtime/far_mem_runtime.hh"
 #include "runtime/frame_cache.hh"
 #include "serve/scheduler.hh"
 #include "sim/cost_params.hh"
+#include "sim/stats.hh"
+#include "tfm/tagged_ptr.hh"
 #include "tfm/tfm_runtime.hh"
 
 namespace tfm
@@ -272,7 +277,7 @@ TEST(ConcurrentRuntime, PointerChaseSurvivesEvictionChurn)
     }
     for (std::thread &th : threads)
         th.join();
-    rt.runtime().drainWorkerWritebacks();
+    rt.runtime().drainWritebacks();
 
     EXPECT_EQ(corrupt.load(), 0u);
     // Every written slot holds its final pattern (each slot is written
@@ -349,7 +354,7 @@ TEST(ConcurrentRuntime, MergedCountersMatchSequentialReplay)
     }
     for (std::thread &th : threads)
         th.join();
-    conc.runtime().drainWorkerWritebacks();
+    conc.runtime().drainWritebacks();
     EXPECT_EQ(conc.runtime().mergedStats().evictions, 0u);
 
     // Sequential replay of the identical traces, one bound worker at a
@@ -364,7 +369,7 @@ TEST(ConcurrentRuntime, MergedCountersMatchSequentialReplay)
         run_trace(seq, sbase, t);
         seq.unbindWorker();
     }
-    seq.runtime().drainWorkerWritebacks();
+    seq.runtime().drainWritebacks();
 
     for (unsigned t = 0; t < kThreads; t++) {
         const RuntimeStats &c = cworkers[t]->rt->stats;
@@ -387,6 +392,201 @@ TEST(ConcurrentRuntime, MergedCountersMatchSequentialReplay)
     EXPECT_EQ(cm.demandFetches, sm.demandFetches);
     EXPECT_EQ(conc.mergedGuardStats().guardTotal(),
               seq.mergedGuardStats().guardTotal());
+}
+
+/** The guard.* and runtime.* counters of a whole stack, every context
+ *  merged. */
+std::vector<std::pair<std::string, std::uint64_t>>
+dataPlaneCounters(const TfmRuntime &rt)
+{
+    StatSet all;
+    rt.exportStats(all);
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    for (const auto &entry : all.all()) {
+        if (entry.first.rfind("guard.", 0) == 0 ||
+            entry.first.rfind("runtime.", 0) == 0) {
+            out.push_back(entry);
+        }
+    }
+    return out;
+}
+
+/**
+ * The deterministic runtime is the one-worker case of the concurrent
+ * one: the same trace (prefetch off, nothing evicted, four shards) run
+ * on the main thread of a deterministic runtime and on one bound worker
+ * of a concurrent runtime yields the same RuntimeStats, GuardStats and
+ * far heap. Only the fetch timeline may differ, so clocks are not
+ * compared.
+ */
+TEST(ConcurrentRuntime, DeterministicModeIsTheOneWorkerCase)
+{
+    RuntimeConfig rc;
+    rc.farHeapBytes = 1ull << 20;
+    rc.localMemBytes = 256ull << 10; // holds the working set
+    rc.objectSizeBytes = 64;
+    rc.prefetchEnabled = false;
+    rc.cacheShards = 4;
+    const CostParams costs;
+    constexpr std::uint64_t kObjects = 512;
+
+    const auto setup = [&](TfmRuntime &rt) {
+        const std::uint64_t base = rt.tfmCalloc(kObjects, 64);
+        EXPECT_NE(base, 0u);
+        for (std::uint64_t o = 0; o < kObjects; o++) {
+            const std::uint64_t v = mix64(o);
+            rt.rawWrite(base + o * 64, &v, sizeof(v));
+        }
+        return base;
+    };
+    // Loads, stores, re-reads of the same object (the inline cache),
+    // accesses straddling two objects, and custody rejects.
+    const auto trace = [&](TfmRuntime &rt, std::uint64_t base) {
+        std::uint64_t host = 7;
+        for (std::uint64_t i = 0; i < 3 * kObjects; i++) {
+            const std::uint64_t o = mix64(i) % kObjects;
+            const std::uint64_t addr = base + o * 64;
+            std::uint64_t v = rt.load<std::uint64_t>(addr);
+            v += rt.load<std::uint64_t>(addr + 8);
+            if (i % 3 == 0)
+                rt.store<std::uint64_t>(addr + 16, v);
+            if (i % 5 == 0 && o + 1 < kObjects) {
+                std::uint64_t pair[2];
+                rt.readGuarded(addr + 56, pair, sizeof(pair));
+                pair[0] ^= pair[1];
+                rt.writeGuarded(addr + 56, pair, sizeof(pair));
+            }
+            if (i % 7 == 0) {
+                host += rt.load<std::uint64_t>(
+                    reinterpret_cast<std::uint64_t>(&host));
+            }
+        }
+    };
+
+    TfmRuntime det(rc, costs);
+    trace(det, setup(det));
+
+    rc.concurrent = true;
+    TfmRuntime conc(rc, costs);
+    const std::uint64_t cbase = setup(conc);
+    TfmRuntime::Worker *w = conc.registerWorker();
+    std::thread worker([&] {
+        conc.bindWorker(w);
+        trace(conc, cbase);
+        conc.unbindWorker();
+    });
+    worker.join();
+
+    const RuntimeStats ds = det.runtime().mergedStats();
+    EXPECT_EQ(ds.evictions, 0u);
+    EXPECT_GT(ds.demandFetches, 0u);
+    const GuardStats dg = det.mergedGuardStats();
+    EXPECT_GT(dg.cacheHitReads, 0u);
+    EXPECT_GT(dg.cacheHitWrites, 0u);
+    EXPECT_GT(dg.custodyRejects, 0u);
+    // The worker, not the main context, ran the trace.
+    EXPECT_EQ(w->gstats.guardTotal(), dg.guardTotal());
+    EXPECT_EQ(dataPlaneCounters(det), dataPlaneCounters(conc));
+    EXPECT_EQ(det.runtime().heapChecksum(), conc.runtime().heapChecksum());
+}
+
+/**
+ * Writeback handoff across contexts: objects the main context evicts
+ * dirty during set-up park in its own buffer, a worker's read takes one
+ * back out with the right bytes, and a drain leaves every context's
+ * buffer empty with the far heap intact.
+ */
+TEST(ConcurrentRuntime, WorkerResurrectsObjectMainEvictedDirty)
+{
+    RuntimeConfig rc;
+    rc.farHeapBytes = 1ull << 20;
+    rc.localMemBytes = 16 * 64; // 16 frames
+    rc.objectSizeBytes = 64;
+    rc.prefetchEnabled = false;
+    rc.concurrent = true;
+    rc.writebackBatchMax = 256;             // no size-triggered flush
+    rc.writebackFlushCycles = ~0ull >> 1;   // no age-triggered flush
+    const CostParams costs;
+    constexpr std::uint64_t kObjects = 64;
+
+    TfmRuntime rt(rc, costs);
+    FarMemRuntime &fm = rt.runtime();
+    const std::uint64_t base = rt.tfmMalloc(kObjects * 64);
+    // Guarded stores on the main thread: each object is dirtied, and
+    // the 16-frame cache evicts most of them into the main buffer.
+    for (std::uint64_t o = 0; o < kObjects; o++)
+        rt.store<std::uint64_t>(base + o * 64, mix64(o));
+    const FarMemRuntime::WorkerContext &main = fm.mainContext();
+    ASSERT_GT(main.wbBuf.size(), 0u);
+    EXPECT_EQ(fm.pendingWritebacks(), main.wbBuf.size());
+    const std::size_t parked_before = main.wbBuf.size();
+    const std::uint64_t parked_obj = main.wbBuf.front().objId;
+    const std::uint64_t parked_addr =
+        base + ((parked_obj << 6) - tfmOffsetOf(base));
+
+    TfmRuntime::Worker *w = rt.registerWorker();
+    std::uint64_t got = 0;
+    std::thread worker([&] {
+        rt.bindWorker(w);
+        got = rt.load<std::uint64_t>(parked_addr);
+        rt.unbindWorker();
+    });
+    worker.join();
+
+    EXPECT_EQ(got, mix64(parked_obj - (tfmOffsetOf(base) >> 6)));
+    EXPECT_EQ(w->rt->stats.writebackBufferHits, 1u);
+    EXPECT_EQ(w->rt->stats.demandFetches, 0u);
+    // The object left the main buffer; the frame the worker took for
+    // it evicted another dirty object into the worker's own buffer.
+    EXPECT_EQ(main.wbBuf.size(), parked_before - 1);
+    EXPECT_EQ(fm.pendingWritebacks(),
+              main.wbBuf.size() + w->rt->wbBuf.size());
+
+    fm.evacuateAll();
+    EXPECT_EQ(fm.pendingWritebacks(), 0u);
+    EXPECT_TRUE(main.wbBuf.empty());
+    for (const auto &ctx : fm.workers())
+        EXPECT_TRUE(ctx->wbBuf.empty());
+    for (std::uint64_t o = 0; o < kObjects; o++) {
+        std::uint64_t v = 0;
+        rt.rawRead(base + o * 64, &v, sizeof(v));
+        EXPECT_EQ(v, mix64(o)) << "object " << o;
+    }
+}
+
+/** The concurrent runtime rejects each configuration it cannot serve,
+ *  naming both fields. */
+TEST(ConcurrentConfigDeathTest, RejectsPrefetch)
+{
+    RuntimeConfig rc;
+    rc.concurrent = true;
+    rc.prefetchEnabled = true;
+    EXPECT_EXIT(FarMemRuntime(rc, CostParams{}),
+                ::testing::ExitedWithCode(1),
+                "concurrent conflicts with prefetchEnabled");
+}
+
+TEST(ConcurrentConfigDeathTest, RejectsRecorder)
+{
+    FlightRecorder rec;
+    RuntimeConfig rc;
+    rc.concurrent = true;
+    rc.prefetchEnabled = false;
+    rc.recorder = &rec;
+    EXPECT_EXIT(FarMemRuntime(rc, CostParams{}),
+                ::testing::ExitedWithCode(1),
+                "concurrent conflicts with recorder");
+}
+
+TEST(ConcurrentConfigDeathTest, RejectsCluster)
+{
+    RuntimeConfig rc;
+    rc.concurrent = true;
+    rc.prefetchEnabled = false;
+    rc.cluster.shardCount = 2;
+    EXPECT_EXIT(FarMemRuntime(rc, CostParams{}),
+                ::testing::ExitedWithCode(1),
+                "concurrent conflicts with cluster");
 }
 
 /**
