@@ -6,6 +6,7 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hh"
 #include "workloads/backend_config.hh"
@@ -57,42 +58,45 @@ main()
         "considerably slower until ~75% of the WS is local",
         "300K synthetic taxi rows standing in for the 31 GB dataset");
 
+    // Each (system, local fraction) point runs once; section (b)
+    // prints the event counts of section (a)'s runs.
+    struct Row
+    {
+        double fraction;
+        BackendSnapshot local, tfm, fsw, aifm;
+    };
+    std::vector<Row> rows;
+    for (const double fraction : bench::localMemSweep) {
+        rows.push_back({fraction,
+                        runOne(SystemKind::Local, fraction).delta,
+                        runOne(SystemKind::TrackFm, fraction).delta,
+                        runOne(SystemKind::Fastswap, fraction).delta,
+                        runOne(SystemKind::Aifm, fraction).delta});
+    }
+
     bench::section("(a) slowdown vs local-only");
     std::printf("%10s %10s %10s %10s %14s\n", "local mem", "TrackFM",
                 "Fastswap", "AIFM", "TFM vs AIFM");
-    for (int i = 0; i < bench::localMemSweepPoints; i++) {
-        const double fraction = bench::localMemSweep[i];
-        const std::uint64_t local_cycles =
-            runOne(SystemKind::Local, fraction).delta.cycles;
-        const std::uint64_t tfm_cycles =
-            runOne(SystemKind::TrackFm, fraction).delta.cycles;
-        const std::uint64_t fsw_cycles =
-            runOne(SystemKind::Fastswap, fraction).delta.cycles;
-        const std::uint64_t aifm_cycles =
-            runOne(SystemKind::Aifm, fraction).delta.cycles;
+    for (const Row &row : rows) {
+        const std::uint64_t local_cycles = row.local.cycles;
         std::printf("%10s %9.2fx %9.2fx %9.2fx %13.1f%%\n",
-                    bench::pct(fraction).c_str(),
-                    static_cast<double>(tfm_cycles) / local_cycles,
-                    static_cast<double>(fsw_cycles) / local_cycles,
-                    static_cast<double>(aifm_cycles) / local_cycles,
-                    100.0 * (static_cast<double>(tfm_cycles) /
-                                 static_cast<double>(aifm_cycles) -
+                    bench::pct(row.fraction).c_str(),
+                    static_cast<double>(row.tfm.cycles) / local_cycles,
+                    static_cast<double>(row.fsw.cycles) / local_cycles,
+                    static_cast<double>(row.aifm.cycles) / local_cycles,
+                    100.0 * (static_cast<double>(row.tfm.cycles) /
+                                 static_cast<double>(row.aifm.cycles) -
                              1.0));
     }
 
     bench::section("(b) far-memory events (slow guards vs page faults)");
     std::printf("%10s %16s %16s\n", "local mem", "TrackFM guards",
                 "Fastswap faults");
-    for (int i = 0; i < bench::localMemSweepPoints; i++) {
-        const double fraction = bench::localMemSweep[i];
-        const std::uint64_t guards =
-            runOne(SystemKind::TrackFm, fraction).delta.farEvents;
-        const std::uint64_t faults =
-            runOne(SystemKind::Fastswap, fraction).delta.farEvents;
+    for (const Row &row : rows) {
         std::printf("%10s %16llu %16llu\n",
-                    bench::pct(fraction).c_str(),
-                    static_cast<unsigned long long>(guards),
-                    static_cast<unsigned long long>(faults));
+                    bench::pct(row.fraction).c_str(),
+                    static_cast<unsigned long long>(row.tfm.farEvents),
+                    static_cast<unsigned long long>(row.fsw.farEvents));
     }
     std::printf("\nPaper reference: TrackFM within 10%% of AIFM under "
                 "pressure; event counts track performance.\n");

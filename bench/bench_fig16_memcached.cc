@@ -5,6 +5,7 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hh"
 #include "workloads/backend_config.hh"
@@ -57,59 +58,53 @@ main()
         "1M keys / 300K gets standing in for 100M keys; local memory "
         "1/12 of the working set as in the paper");
 
-    const double skews[] = {1.0, 1.05, 1.1, 1.15, 1.2, 1.25, 1.3};
+    // Each (system, skew) point runs once; the three sections below
+    // print different columns of the same rows.
+    struct Row
+    {
+        double skew;
+        MemcachedResult tfm, fsw, local;
+    };
+    std::vector<Row> rows;
+    for (const double skew : {1.0, 1.05, 1.1, 1.15, 1.2, 1.25, 1.3}) {
+        rows.push_back({skew, runOne(SystemKind::TrackFm, skew, costs),
+                        runOne(SystemKind::Fastswap, skew, costs),
+                        runOne(SystemKind::Local, skew, costs)});
+    }
 
     bench::section("(a) throughput (KOps/s)");
     std::printf("%6s %12s %12s %12s %10s\n", "skew", "TrackFM",
                 "Fastswap", "All local", "TFM/FSW");
-    for (const double skew : skews) {
-        const MemcachedResult tfm_result =
-            runOne(SystemKind::TrackFm, skew, costs);
-        const MemcachedResult fsw_result =
-            runOne(SystemKind::Fastswap, skew, costs);
-        const MemcachedResult local_result =
-            runOne(SystemKind::Local, skew, costs);
-        std::printf("%6.2f %12.1f %12.1f %12.1f %9.2fx\n", skew,
-                    tfm_result.throughputKopsPerSec(costs.cpuGhz),
-                    fsw_result.throughputKopsPerSec(costs.cpuGhz),
-                    local_result.throughputKopsPerSec(costs.cpuGhz),
-                    tfm_result.throughputKopsPerSec(costs.cpuGhz) /
-                        fsw_result.throughputKopsPerSec(costs.cpuGhz));
+    for (const Row &row : rows) {
+        std::printf("%6.2f %12.1f %12.1f %12.1f %9.2fx\n", row.skew,
+                    row.tfm.throughputKopsPerSec(costs.cpuGhz),
+                    row.fsw.throughputKopsPerSec(costs.cpuGhz),
+                    row.local.throughputKopsPerSec(costs.cpuGhz),
+                    row.tfm.throughputKopsPerSec(costs.cpuGhz) /
+                        row.fsw.throughputKopsPerSec(costs.cpuGhz));
     }
 
     bench::section("(b) far-memory events per 1K gets");
     std::printf("%6s %16s %16s\n", "skew", "TrackFM guards",
                 "Fastswap faults");
-    for (const double skew : skews) {
-        const MemcachedResult tfm_result =
-            runOne(SystemKind::TrackFm, skew, costs);
-        const MemcachedResult fsw_result =
-            runOne(SystemKind::Fastswap, skew, costs);
-        std::printf("%6.2f %16.1f %16.1f\n", skew,
-                    1000.0 * static_cast<double>(
-                                 tfm_result.delta.farEvents) /
-                        static_cast<double>(tfm_result.hits),
-                    1000.0 * static_cast<double>(
-                                 fsw_result.delta.farEvents) /
-                        static_cast<double>(fsw_result.hits));
+    for (const Row &row : rows) {
+        std::printf("%6.2f %16.1f %16.1f\n", row.skew,
+                    1000.0 * static_cast<double>(row.tfm.delta.farEvents) /
+                        static_cast<double>(row.tfm.hits),
+                    1000.0 * static_cast<double>(row.fsw.delta.farEvents) /
+                        static_cast<double>(row.fsw.hits));
     }
 
     bench::section("(c) data transferred (x working set)");
     std::printf("%6s %12s %12s\n", "skew", "TrackFM", "Fastswap");
-    for (const double skew : skews) {
-        const MemcachedResult tfm_result =
-            runOne(SystemKind::TrackFm, skew, costs);
-        const MemcachedResult fsw_result =
-            runOne(SystemKind::Fastswap, skew, costs);
-        const double working_set = 1000000.0 * 96.0;
+    const double working_set = 1000000.0 * 96.0;
+    for (const Row &row : rows) {
         // TrackFM moves well under 0.1x the working set: three
         // decimals keep its column from printing as 0.0x.
-        std::printf("%6.2f %11.3fx %11.1fx\n", skew,
-                    static_cast<double>(
-                        tfm_result.delta.bytesTransferred) /
+        std::printf("%6.2f %11.3fx %11.1fx\n", row.skew,
+                    static_cast<double>(row.tfm.delta.bytesTransferred) /
                         working_set,
-                    static_cast<double>(
-                        fsw_result.delta.bytesTransferred) /
+                    static_cast<double>(row.fsw.delta.bytesTransferred) /
                         working_set);
     }
     std::printf("\nPaper reference: Fastswap transfers ~66x the WS, "

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <string>
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hh"
 #include "workloads/backend_config.hh"
@@ -69,23 +70,31 @@ main()
 
     const char *kernels[] = {"cg", "ft", "is", "mg", "sp"};
 
+    // Each (kernel, system) point runs once; section (b) reuses
+    // section (a)'s runs of FT and SP and adds only the O1 runs.
+    struct Row
+    {
+        const char *name;
+        KernelRun local, fsw, tfm;
+    };
+    std::vector<Row> rows;
+    for (const char *name : kernels) {
+        rows.push_back({name, runOne(name, SystemKind::Local, false),
+                        runOne(name, SystemKind::Fastswap, false),
+                        runOne(name, SystemKind::TrackFm, false)});
+    }
+
     bench::section("(a) slowdown vs local-only");
     std::printf("%6s %12s %12s\n", "bench", "Fastswap", "TrackFM");
     double geo_fsw = 1.0, geo_tfm = 1.0;
-    for (const char *name : kernels) {
-        const KernelRun local_run =
-            runOne(name, SystemKind::Local, false);
-        const KernelRun fsw = runOne(name, SystemKind::Fastswap, false);
-        const KernelRun tfm_run =
-            runOne(name, SystemKind::TrackFm, false);
-        const double fsw_slow = static_cast<double>(fsw.cycles) /
-                                static_cast<double>(local_run.cycles);
-        const double tfm_slow =
-            static_cast<double>(tfm_run.cycles) /
-            static_cast<double>(local_run.cycles);
+    for (const Row &row : rows) {
+        const double fsw_slow = static_cast<double>(row.fsw.cycles) /
+                                static_cast<double>(row.local.cycles);
+        const double tfm_slow = static_cast<double>(row.tfm.cycles) /
+                                static_cast<double>(row.local.cycles);
         geo_fsw *= fsw_slow;
         geo_tfm *= tfm_slow;
-        std::printf("%6s %11.2fx %11.2fx\n", name, fsw_slow, tfm_slow);
+        std::printf("%6s %11.2fx %11.2fx\n", row.name, fsw_slow, tfm_slow);
     }
     std::printf("%6s %11.2fx %11.2fx\n", "GeoM.",
                 std::pow(geo_fsw, 1.0 / 5.0),
@@ -94,21 +103,15 @@ main()
     bench::section("(b) FT and SP with the O1 pipeline (TFM/O1)");
     std::printf("%6s %10s %10s %10s %14s\n", "bench", "FSwap", "TFM",
                 "TFM/O1", "guard cut");
-    for (const char *name : {"ft", "sp"}) {
-        const KernelRun local_run =
-            runOne(name, SystemKind::Local, false);
-        const KernelRun fsw = runOne(name, SystemKind::Fastswap, false);
-        const KernelRun tfm_naive =
-            runOne(name, SystemKind::TrackFm, false);
-        const KernelRun tfm_o1 =
-            runOne(name, SystemKind::TrackFm, true);
-        std::printf("%6s %9.2fx %9.2fx %9.2fx %13.1fx\n", name,
-                    static_cast<double>(fsw.cycles) / local_run.cycles,
-                    static_cast<double>(tfm_naive.cycles) /
-                        local_run.cycles,
-                    static_cast<double>(tfm_o1.cycles) /
-                        local_run.cycles,
-                    static_cast<double>(tfm_naive.guards) /
+    for (const Row &row : rows) {
+        if (std::string(row.name) != "ft" && std::string(row.name) != "sp")
+            continue;
+        const KernelRun tfm_o1 = runOne(row.name, SystemKind::TrackFm, true);
+        std::printf("%6s %9.2fx %9.2fx %9.2fx %13.1fx\n", row.name,
+                    static_cast<double>(row.fsw.cycles) / row.local.cycles,
+                    static_cast<double>(row.tfm.cycles) / row.local.cycles,
+                    static_cast<double>(tfm_o1.cycles) / row.local.cycles,
+                    static_cast<double>(row.tfm.guards) /
                         static_cast<double>(tfm_o1.guards));
     }
     std::printf("\nPaper reference: O1 cuts FT memory instructions ~6x "

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -11,6 +12,21 @@
 
 namespace tfm
 {
+
+std::string
+MemcachedParams::validate() const
+{
+    // The compact slot table stores key+1 in 32 bits, which also keeps
+    // the bucket count (2 * numKeys rounded up) far from overflow.
+    if (numKeys >= std::numeric_limits<std::uint32_t>::max())
+        return "memcached numKeys must be below 2^32-1 (the compact slot "
+               "table stores key+1 in 32 bits), got " +
+               std::to_string(numKeys);
+    if (numKeys == 0 && numGets > 0)
+        return "memcached numKeys is 0 but numGets is " +
+               std::to_string(numGets) + ": gets need a key to draw";
+    return "";
+}
 
 std::uint64_t
 MemcachedWorkload::hashKey(std::uint64_t key)
@@ -25,6 +41,9 @@ MemcachedWorkload::MemcachedWorkload(MemBackend &backend,
                                      const MemcachedParams &parameters)
     : b(backend), params(parameters)
 {
+    const std::string invalid = params.validate();
+    if (!invalid.empty())
+        TFM_FATAL(invalid.c_str());
     numBuckets = 16;
     while (numBuckets < params.numKeys * 2)
         numBuckets <<= 1;
@@ -33,12 +52,6 @@ MemcachedWorkload::MemcachedWorkload(MemBackend &backend,
 
     // Populate items with USR-style sizes (unmetered setup). Values are
     // a repeating byte derived from the key so gets can be verified.
-    // The index is built host-side, probing in insertion order, as a
-    // compact slot -> key+1 table (0 = empty) next to each key's item
-    // address, then streamed out as Buckets in InitWriter chunks.
-    TFM_ASSERT(params.numKeys < std::numeric_limits<std::uint32_t>::max(),
-               "memcached keys must fit the compact slot table");
-    std::vector<std::uint32_t> slotKey(numBuckets, 0);
     std::vector<std::uint64_t> itemAddrs(params.numKeys);
     UsrSizeDist sizes(params.seed);
     std::vector<std::uint8_t> value(512);
@@ -54,12 +67,21 @@ MemcachedWorkload::MemcachedWorkload(MemBackend &backend,
             value[i] = static_cast<std::uint8_t>(k * 131 + i);
         b.initWrite(item + sizeof(ItemHeader) + s.keyBytes, value.data(),
                     s.valueBytes);
+        itemAddrs[k] = item;
+    }
 
+    // The index is built host-side as a compact slot -> key+1 table
+    // (0 = empty), probing in insertion order, then streamed out as
+    // Buckets in InitWriter chunks. The probes run in a pass of their
+    // own so the table stays in the host cache between them (the item
+    // writes would evict it); a key's slot depends only on its hash and
+    // on the keys probed before it, never on the item pass.
+    std::vector<std::uint32_t> slotKey(numBuckets, 0);
+    for (std::uint64_t k = 0; k < params.numKeys; k++) {
         std::uint64_t slot = hashKey(k) & (numBuckets - 1);
         while (slotKey[slot] != 0)
             slot = (slot + 1) & (numBuckets - 1);
         slotKey[slot] = static_cast<std::uint32_t>(k + 1);
-        itemAddrs[k] = item;
     }
     {
         InitWriter index(b, indexAddr);

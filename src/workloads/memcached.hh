@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "backend.hh"
@@ -29,6 +30,9 @@ struct MemcachedParams
     std::uint64_t numGets = 500000;
     double zipfSkew = 1.02;
     std::uint64_t seed = 13;
+
+    /** Why these parameters cannot build a store, or "" when they can. */
+    std::string validate() const;
 };
 
 /** Result of one run. */

@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <memory>
 
+#include "sim/usr_dist.hh"
 #include "workloads/backend_config.hh"
 #include "workloads/dataframe.hh"
 #include "workloads/hashmap.hh"
@@ -181,6 +184,70 @@ TEST(MemcachedWorkload, SetThenGetRoundTrip)
     const int len = workload.get(1000000, out, sizeof(out));
     ASSERT_EQ(len, 5);
     EXPECT_EQ(std::memcmp(out, payload, 5), 0);
+}
+
+/**
+ * Every key's get returns the value the fill wrote for it: the length
+ * drawn by the store's own USR size stream and the bytes k*131+i. A
+ * broken index-to-item association names the first key it breaks.
+ */
+TEST(MemcachedWorkload, EveryKeyReadsItsOwnValue)
+{
+    MemcachedParams params;
+    params.numKeys = 50000;
+    for (const SystemKind kind :
+         {SystemKind::TrackFm, SystemKind::Fastswap}) {
+        auto cfg = baseConfig(kind);
+        if (kind == SystemKind::TrackFm)
+            cfg.objectSizeBytes = 64;
+        auto backend = makeBackend(cfg, CostParams{});
+        MemcachedWorkload workload(*backend, params);
+        UsrSizeDist sizes(params.seed);
+        std::uint8_t out[512];
+        for (std::uint64_t k = 0; k < params.numKeys; k++) {
+            const std::uint32_t len = sizes.next().valueBytes;
+            ASSERT_EQ(workload.get(k, out, sizeof(out)),
+                      static_cast<int>(len))
+                << systemName(kind) << " key " << k;
+            for (std::uint32_t i = 0; i < len; i++) {
+                ASSERT_EQ(out[i], static_cast<std::uint8_t>(k * 131 + i))
+                    << systemName(kind) << " key " << k << " byte " << i;
+            }
+        }
+    }
+}
+
+/**
+ * A far heap smaller than the smallest memcached index (16 buckets,
+ * 256 B): parameters must be rejected before anything is allocated, or
+ * the store dies as "far heap exhausted" instead.
+ */
+std::unique_ptr<MemBackend>
+heaplessBackend()
+{
+    auto cfg = baseConfig(SystemKind::Local);
+    cfg.farHeapBytes = 128;
+    return makeBackend(cfg, CostParams{});
+}
+
+TEST(MemcachedWorkload, OversizedKeyCountIsFatal)
+{
+    auto backend = heaplessBackend();
+    MemcachedParams params;
+    params.numKeys = std::numeric_limits<std::uint32_t>::max();
+    EXPECT_DEATH(MemcachedWorkload(*backend, params), "numKeys");
+    // numKeys * 2 would overflow while sizing the index.
+    params.numKeys = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_DEATH(MemcachedWorkload(*backend, params), "numKeys");
+}
+
+TEST(MemcachedWorkload, EmptyStoreWithGetsIsFatal)
+{
+    auto backend = heaplessBackend();
+    MemcachedParams params;
+    params.numKeys = 0;
+    params.numGets = 1;
+    EXPECT_DEATH(MemcachedWorkload(*backend, params), "numKeys is 0");
 }
 
 /** FNV-1a over @p len bytes, continuing from @p h. */

@@ -35,6 +35,13 @@ fi
 "${BUILD_DIR}/tools/tfm-stat" "${TRACE_FILE}" > /dev/null
 echo "check_build: trace smoke test OK"
 
+# Paired-benchmark tool (tools/perfbench_ab.py): its summary, win count
+# and simulated-metric flags are checked on canned rows; nothing is
+# built or run.
+if command -v python3 > /dev/null; then
+    python3 tools/perfbench_ab.py --selftest
+fi
+
 # Example programs: every .tir in examples/ must compile verifier-clean
 # through the full pipeline (the verifier runs after every pass) and
 # execute without trapping, both with and without the guard optimizer,
