@@ -5,6 +5,7 @@
  */
 
 #include <cstdio>
+#include <iterator>
 
 #include "bench_util.hh"
 #include "workloads/backend_config.hh"
@@ -48,6 +49,15 @@ main()
         "8 MB working set standing in for the paper's 9 GB");
 
     const std::uint32_t sizes[] = {4096, 2048, 1024, 512, 256};
+    constexpr int numSizes = std::size(sizes);
+
+    // Each (local memory, object size) point runs once; (b) is (a)'s
+    // 25% row.
+    double mbps[bench::localMemSweepPoints][numSizes];
+    for (int i = 0; i < bench::localMemSweepPoints; i++) {
+        for (int s = 0; s < numSizes; s++)
+            mbps[i][s] = runStream(sizes[s], bench::localMemSweep[i], costs);
+    }
 
     bench::section("(a) bandwidth (MB/s) vs local memory");
     std::printf("%10s", "local mem");
@@ -55,17 +65,17 @@ main()
         std::printf(" %9uB", size);
     std::printf("\n");
     for (int i = 0; i < bench::localMemSweepPoints; i++) {
-        const double fraction = bench::localMemSweep[i];
-        std::printf("%10s", bench::pct(fraction).c_str());
-        for (const std::uint32_t size : sizes)
-            std::printf(" %10.1f", runStream(size, fraction, costs));
+        std::printf("%10s", bench::pct(bench::localMemSweep[i]).c_str());
+        for (int s = 0; s < numSizes; s++)
+            std::printf(" %10.1f", mbps[i][s]);
         std::printf("\n");
     }
 
     bench::section("(b) fixed 25% local memory");
     std::printf("%10s %14s\n", "obj size", "MB/s");
-    for (const std::uint32_t size : sizes)
-        std::printf("%9uB %14.1f\n", size, runStream(size, 0.25, costs));
+    const int quarter = bench::localMemSweepIndex(0.25);
+    for (int s = 0; s < numSizes; s++)
+        std::printf("%9uB %14.1f\n", sizes[s], mbps[quarter][s]);
 
     std::printf("\nPaper reference: bandwidth increases monotonically "
                 "with object size; 4 KB is best.\n");

@@ -68,33 +68,33 @@ main()
         "objects) only ~2.3x, for an average ~12x speedup",
         "60K keys / 200K lookups standing in for 2 GB WS / 50M lookups");
 
+    // Each point runs once; both sections print from these rows.
+    Point tfm_points[bench::localMemSweepPoints];
+    Point fsw_points[bench::localMemSweepPoints];
+    for (int i = 0; i < bench::localMemSweepPoints; i++) {
+        const double fraction = bench::localMemSweep[i];
+        tfm_points[i] = runOne(SystemKind::TrackFm, fraction, costs);
+        fsw_points[i] = runOne(SystemKind::Fastswap, fraction, costs);
+    }
+
     bench::section("(a) execution time (simulated seconds)");
     std::printf("%10s %14s %14s %10s\n", "local mem", "TrackFM 64B",
                 "Fastswap", "speedup");
     for (int i = 0; i < bench::localMemSweepPoints; i++) {
-        const double fraction = bench::localMemSweep[i];
-        const Point tfm_point =
-            runOne(SystemKind::TrackFm, fraction, costs);
-        const Point fsw_point =
-            runOne(SystemKind::Fastswap, fraction, costs);
         std::printf("%10s %14.4f %14.4f %9.2fx\n",
-                    bench::pct(fraction).c_str(), tfm_point.seconds,
-                    fsw_point.seconds,
-                    fsw_point.seconds / tfm_point.seconds);
+                    bench::pct(bench::localMemSweep[i]).c_str(),
+                    tfm_points[i].seconds, fsw_points[i].seconds,
+                    fsw_points[i].seconds / tfm_points[i].seconds);
     }
 
     bench::section("(b) total data fetched (x working set)");
     std::printf("%10s %14s %14s\n", "local mem", "TrackFM 64B",
                 "Fastswap");
     for (int i = 0; i < bench::localMemSweepPoints; i++) {
-        const double fraction = bench::localMemSweep[i];
-        const Point tfm_point =
-            runOne(SystemKind::TrackFm, fraction, costs);
-        const Point fsw_point =
-            runOne(SystemKind::Fastswap, fraction, costs);
         std::printf("%10s %13.1fx %13.1fx\n",
-                    bench::pct(fraction).c_str(),
-                    tfm_point.amplification, fsw_point.amplification);
+                    bench::pct(bench::localMemSweep[i]).c_str(),
+                    tfm_points[i].amplification,
+                    fsw_points[i].amplification);
     }
     std::printf("\nPaper reference: Fastswap ~43x WS transferred vs "
                 "TrackFM ~2.3x; ~12x average speedup.\n");

@@ -6,6 +6,7 @@
  */
 
 #include <cstdio>
+#include <iterator>
 
 #include "bench_util.hh"
 #include "workloads/backend_config.hh"
@@ -56,6 +57,18 @@ main()
         "60K keys / 200K lookups standing in for 2 GB WS / 50M lookups");
 
     const std::uint32_t sizes[] = {4096, 2048, 1024, 512, 256};
+    constexpr int numSizes = std::size(sizes);
+
+    // Each (local memory, object size) point runs once; (b) is (a)'s
+    // 25% row.
+    double mops[bench::localMemSweepPoints][numSizes];
+    for (int i = 0; i < bench::localMemSweepPoints; i++) {
+        for (int s = 0; s < numSizes; s++) {
+            mops[i][s] =
+                runHashmap(sizes[s], bench::localMemSweep[i], costs)
+                    .throughputMopsPerSec(costs.cpuGhz);
+        }
+    }
 
     bench::section("(a) throughput (MOps/s) vs local memory");
     std::printf("%10s", "local mem");
@@ -63,23 +76,17 @@ main()
         std::printf(" %9uB", size);
     std::printf("\n");
     for (int i = 0; i < bench::localMemSweepPoints; i++) {
-        const double fraction = bench::localMemSweep[i];
-        std::printf("%10s", bench::pct(fraction).c_str());
-        for (const std::uint32_t size : sizes) {
-            const HashmapResult r = runHashmap(size, fraction, costs);
-            std::printf(" %10.3f",
-                        r.throughputMopsPerSec(costs.cpuGhz));
-        }
+        std::printf("%10s", bench::pct(bench::localMemSweep[i]).c_str());
+        for (int s = 0; s < numSizes; s++)
+            std::printf(" %10.3f", mops[i][s]);
         std::printf("\n");
     }
 
     bench::section("(b) fixed 25% local memory");
     std::printf("%10s %14s\n", "obj size", "MOps/s");
-    for (const std::uint32_t size : sizes) {
-        const HashmapResult r = runHashmap(size, 0.25, costs);
-        std::printf("%9uB %14.3f\n", size,
-                    r.throughputMopsPerSec(costs.cpuGhz));
-    }
+    const int quarter = bench::localMemSweepIndex(0.25);
+    for (int s = 0; s < numSizes; s++)
+        std::printf("%9uB %14.3f\n", sizes[s], mops[quarter][s]);
     std::printf("\nPaper reference: throughput increases monotonically "
                 "as object size shrinks toward 256 B.\n");
     return 0;

@@ -427,6 +427,17 @@ inline const double localMemSweep[] = {0.10, 0.25, 0.40, 0.55,
                                        0.70, 0.85, 1.00};
 inline constexpr int localMemSweepPoints = 7;
 
+/** Index of @p fraction in localMemSweep; panics when it is not there. */
+inline int
+localMemSweepIndex(double fraction)
+{
+    for (int i = 0; i < localMemSweepPoints; i++) {
+        if (localMemSweep[i] == fraction)
+            return i;
+    }
+    TFM_PANIC("fraction is not a point of the local-memory sweep");
+}
+
 /** Choose a frame-count-safe local memory size for a fraction. */
 inline std::uint64_t
 localBytesFor(double fraction, std::uint64_t working_set,

@@ -351,6 +351,9 @@ ShardedCluster::markStripeWritten(std::uint64_t stripe,
                                   std::uint64_t offset, std::size_t len)
 {
     // A write that covers a whole lost stripe makes it readable again.
+    // lost_ is written only for a stripe a failure lost, so raw writes
+    // on disjoint ranges may run concurrently while none is lost
+    // (MemBackend::initWrite's contract).
     if (lost_.empty() || stripe >= lost_.size() || !lost_[stripe])
         return;
     const std::uint64_t start = stripe * stripeBytes_;

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <new>
 
 #include "obs/obs.hh"
 #include "sim/logging.hh"
@@ -33,14 +32,9 @@ observeServe(const NetworkModel &net, const char *name, std::uint64_t at,
 } // anonymous namespace
 
 RemoteNode::RemoteNode(std::uint64_t capacityBytes)
-    // calloc(0) may return null; one byte keeps a valid pointer.
-    : store(static_cast<std::byte *>(
-          std::calloc(capacityBytes ? capacityBytes : 1, 1))),
+    : store(makeZeroedArray<std::byte>(capacityBytes)),
       _capacity(capacityBytes)
-{
-    if (!store)
-        throw std::bad_alloc();
-}
+{}
 
 void
 RemoteNode::checkRange(std::uint64_t offset, std::size_t len) const

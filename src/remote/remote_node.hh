@@ -15,11 +15,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
 #include <vector>
 
 #include "net/network_model.hh"
+#include "sim/zeroed_array.hh"
 
 namespace tfm
 {
@@ -68,8 +67,8 @@ struct RemoteWriteSeg
  * the store. Network accounting is the caller's job via the helpers that
  * take the NetworkModel, keeping the store itself transport-agnostic.
  *
- * The store starts zeroed but is not zero-filled up front: it comes from
- * calloc, which for a large store maps fresh zero pages that the host
+ * The store starts zeroed but is not zero-filled up front: it is a
+ * ZeroedArray, a fresh anonymous mapping whose zero pages the host
  * faults in on first touch. A store sized for a whole far heap costs
  * only the bytes the run actually writes or reads.
  */
@@ -138,12 +137,7 @@ class RemoteNode
   private:
     void checkRange(std::uint64_t offset, std::size_t len) const;
 
-    struct FreeDeleter
-    {
-        void operator()(std::byte *p) const { std::free(p); }
-    };
-
-    std::unique_ptr<std::byte[], FreeDeleter> store;
+    ZeroedArray<std::byte> store;
     std::uint64_t _capacity;
     RemoteStats _stats;
 };

@@ -41,7 +41,7 @@ namespace tfm
  * instruction (Fig. 4b line 6).
  *
  * The word is a plain uint64_t accessed only through std::atomic_ref, so
- * ObjectStateTable can take its entries straight from calloc: the
+ * ObjectStateTable can take its entries straight from zero pages: the
  * all-zero word is the remote, clean state, and the class is an
  * implicit-lifetime type (trivial copy constructor and destructor).
  */
@@ -130,7 +130,7 @@ class ObjectMeta
 static_assert(sizeof(ObjectMeta) == 8, "state table entries must be 8 bytes");
 static_assert(std::is_trivially_copy_constructible_v<ObjectMeta> &&
                   std::is_trivially_destructible_v<ObjectMeta>,
-              "calloc'd state table entries must be implicit-lifetime");
+              "zero-page state table entries must be implicit-lifetime");
 
 } // namespace tfm
 

@@ -7,7 +7,7 @@
  * objectSize entries of 8 bytes each (e.g. a 32 GB heap of 4 KB objects
  * needs 2^23 entries = 64 MB).
  *
- * The entries come from calloc, like RemoteNode's store: every object
+ * The entries are a ZeroedArray, like RemoteNode's store: every object
  * starts remote (the all-zero word), and the host faults in only the
  * table pages a run touches instead of zero-filling the whole table up
  * front.
@@ -17,12 +17,10 @@
 #define TRACKFM_RUNTIME_OBJECT_STATE_TABLE_HH
 
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
-#include <new>
 
 #include "object_meta.hh"
 #include "sim/logging.hh"
+#include "sim/zeroed_array.hh"
 
 namespace tfm
 {
@@ -35,13 +33,8 @@ class ObjectStateTable
         : objSize(object_size),
           objShift(shiftFor(object_size)),
           count((heap_bytes + object_size - 1) / object_size),
-          // calloc(0) may return null; one entry keeps a valid pointer.
-          entries(static_cast<ObjectMeta *>(
-              std::calloc(count ? count : 1, sizeof(ObjectMeta))))
-    {
-        if (!entries)
-            throw std::bad_alloc();
-    }
+          entries(makeZeroedArray<ObjectMeta>(count))
+    {}
 
     std::uint64_t numObjects() const { return count; }
     std::uint32_t objectSize() const { return objSize; }
@@ -91,15 +84,10 @@ class ObjectStateTable
         return shift;
     }
 
-    struct FreeDeleter
-    {
-        void operator()(ObjectMeta *p) const { std::free(p); }
-    };
-
     std::uint32_t objSize;
     std::uint32_t objShift;
     std::uint64_t count;
-    std::unique_ptr<ObjectMeta[], FreeDeleter> entries;
+    ZeroedArray<ObjectMeta> entries;
 };
 
 } // namespace tfm

@@ -9,7 +9,8 @@ namespace tfm
 
 RegionAllocator::RegionAllocator(std::uint64_t heap_bytes,
                                  std::uint32_t object_size)
-    : _heapBytes(heap_bytes), objSize(object_size)
+    : _heapBytes(heap_bytes), objSize(object_size),
+      liveLog2(makeZeroedArray<std::uint8_t>(heap_bytes >> granuleShift))
 {
     TFM_ASSERT((object_size & (object_size - 1)) == 0,
                "object size must be a power of two");
@@ -56,7 +57,6 @@ RegionAllocator::allocate(std::uint64_t bytes)
         return badOffset;
 
     bump = offset + rounded;
-    liveLog2.resize(bump >> granuleShift);
     liveLog2[offset >> granuleShift] = static_cast<std::uint8_t>(lg + 1);
     _stats.allocations++;
     _stats.bytesAllocated += rounded;
@@ -80,7 +80,7 @@ RegionAllocator::sizeOf(std::uint64_t offset) const
 {
     const std::uint64_t granule = offset >> granuleShift;
     if ((offset & ((1ull << granuleShift) - 1)) != 0 ||
-        granule >= liveLog2.size() || liveLog2[granule] == 0)
+        offset >= bump || liveLog2[granule] == 0)
         return 0;
     return 1ull << (liveLog2[granule] - 1u);
 }

@@ -21,6 +21,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/zeroed_array.hh"
+
 namespace tfm
 {
 
@@ -82,9 +84,11 @@ class RegionAllocator
     AllocStats _stats;
     /// log2(size class) -> freed offsets of exactly that class (LIFO)
     std::array<std::vector<std::uint64_t>, 64> freeLists;
-    /// One byte per granule below the frontier: log2(size class) + 1 of
-    /// the live block starting there, 0 where no live block starts.
-    std::vector<std::uint8_t> liveLog2;
+    /// One byte per granule of the heap: log2(size class) + 1 of the
+    /// live block starting there, 0 where no live block starts. Zero
+    /// pages, like ObjectStateTable: the host faults in only the pages
+    /// below the frontier, and allocate() never resizes it.
+    ZeroedArray<std::uint8_t> liveLog2;
 };
 
 } // namespace tfm

@@ -94,6 +94,21 @@ class MemBackend
 
     /** @name Unmetered initialization / verification
      * @{ */
+    /**
+     * Store @p len bytes at @p addr without charging a cycle or touching
+     * residency, prefetch or replacement state.
+     *
+     * Concurrency contract: several threads may call initWrite at once
+     * on pairwise disjoint byte ranges, provided no other call on this
+     * backend runs meanwhile and no shard failure has lost a stripe of
+     * its remote tier.
+     * Local copies into its fixed store; Fastswap and a single remote
+     * node memcpy into theirs; TrackFM and AIFM read object metadata
+     * through atomic_ref, copy into a resident frame byte-disjointly and
+     * take the writeback buffer's lock for a parked copy; a sharded
+     * tier writes its lost-stripe flags only for stripes a shard failure
+     * lost.
+     */
     virtual void initWrite(std::uint64_t addr, const void *src,
                            std::size_t len) = 0;
     virtual void initRead(std::uint64_t addr, void *dst,

@@ -52,9 +52,17 @@ struct BackendConfig
     /// own named track; empty falls back to the runtime's default
     /// stream name ("trackfm", "fastswap", ...).
     std::string obsLabel;
+
+    /**
+     * Why no backend of this kind can run this configuration, or "" when
+     * one can: a far heap of 0 bytes, and for the object-based systems
+     * (TrackFM, AIFM) an object size that is not a power of two of at
+     * least 16 B or a local memory that holds fewer than two objects.
+     */
+    std::string validate() const;
 };
 
-/** Instantiate a backend. */
+/** Instantiate a backend; a configuration validate() rejects is fatal. */
 std::unique_ptr<MemBackend> makeBackend(const BackendConfig &config,
                                         const CostParams &costs);
 

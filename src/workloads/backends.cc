@@ -6,14 +6,15 @@
 
 #include "backend_config.hh"
 
+#include <bit>
 #include <cstring>
-#include <vector>
 
 #include "aifmlib/aifm_runtime.hh"
 #include "fastswap/fastswap_runtime.hh"
 #include "runtime/region_allocator.hh"
 #include "sim/cycle_clock.hh"
 #include "sim/logging.hh"
+#include "sim/zeroed_array.hh"
 #include "tfm/chunk.hh"
 #include "tfm/cost_model.hh"
 #include "tfm/tfm_runtime.hh"
@@ -33,7 +34,7 @@ class LocalBackend : public MemBackend
   public:
     LocalBackend(const BackendConfig &config, const CostParams &cost_params)
         : costs(cost_params),
-          mem(config.farHeapBytes),
+          mem(makeZeroedArray<std::byte>(config.farHeapBytes)),
           alloc_(config.farHeapBytes, 4096)
     {}
 
@@ -61,7 +62,7 @@ class LocalBackend : public MemBackend
          AccessHint hint) override
     {
         chargeBase(hint);
-        std::memcpy(dst, mem.data() + addr, len);
+        std::memcpy(dst, mem.get() + addr, len);
     }
 
     void
@@ -69,7 +70,7 @@ class LocalBackend : public MemBackend
           AccessHint hint) override
     {
         chargeBase(hint);
-        std::memcpy(mem.data() + addr, src, len);
+        std::memcpy(mem.get() + addr, src, len);
     }
 
     class Stream : public SeqStream
@@ -84,7 +85,7 @@ class LocalBackend : public MemBackend
         read(void *dst) override
         {
             b.clock.advance(b.costs.seqAccessCycles);
-            std::memcpy(dst, b.mem.data() + cur, elemSize);
+            std::memcpy(dst, b.mem.get() + cur, elemSize);
             cur += elemSize;
         }
 
@@ -92,7 +93,7 @@ class LocalBackend : public MemBackend
         write(const void *src) override
         {
             b.clock.advance(b.costs.seqAccessCycles);
-            std::memcpy(b.mem.data() + cur, src, elemSize);
+            std::memcpy(b.mem.get() + cur, src, elemSize);
             cur += elemSize;
         }
 
@@ -116,13 +117,13 @@ class LocalBackend : public MemBackend
     void
     initWrite(std::uint64_t addr, const void *src, std::size_t len) override
     {
-        std::memcpy(mem.data() + addr, src, len);
+        std::memcpy(mem.get() + addr, src, len);
     }
 
     void
     initRead(std::uint64_t addr, void *dst, std::size_t len) override
     {
-        std::memcpy(dst, mem.data() + addr, len);
+        std::memcpy(dst, mem.get() + addr, len);
     }
 
     void dropCaches() override {}
@@ -151,7 +152,9 @@ class LocalBackend : public MemBackend
 
     CostParams costs;
     CycleClock clock;
-    std::vector<std::byte> mem;
+    /// Lazily zeroed like RemoteNode's store: only the pages a run
+    /// touches become resident.
+    ZeroedArray<std::byte> mem;
     RegionAllocator alloc_;
 };
 
@@ -897,9 +900,32 @@ class SharedTfmBackend : public MemBackend
 
 } // anonymous namespace
 
+std::string
+BackendConfig::validate() const
+{
+    if (farHeapBytes == 0)
+        return "backend farHeapBytes is 0: the far heap must hold at "
+               "least one allocation";
+    if (kind != SystemKind::TrackFm && kind != SystemKind::Aifm)
+        return "";
+    const std::string sys = systemName(kind);
+    if (objectSizeBytes < 16 || !std::has_single_bit(objectSizeBytes))
+        return sys + " objectSizeBytes must be a power of two of at "
+                     "least 16, got " +
+               std::to_string(objectSizeBytes);
+    if (localMemBytes / objectSizeBytes < 2)
+        return sys + " localMemBytes " + std::to_string(localMemBytes) +
+               " must hold at least two " +
+               std::to_string(objectSizeBytes) + "-B objects";
+    return "";
+}
+
 std::unique_ptr<MemBackend>
 makeBackend(const BackendConfig &config, const CostParams &costs)
 {
+    const std::string invalid = config.validate();
+    if (!invalid.empty())
+        TFM_FATAL(invalid.c_str());
     switch (config.kind) {
       case SystemKind::Local:
         return std::make_unique<LocalBackend>(config, costs);

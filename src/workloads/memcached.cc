@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <exception>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -28,6 +30,27 @@ MemcachedParams::validate() const
     return "";
 }
 
+std::size_t
+fillRangeCount(std::uint64_t num_keys)
+{
+    return static_cast<std::size_t>(std::clamp<std::uint64_t>(
+        num_keys / 65536, 1, 4));
+}
+
+std::vector<FillRange>
+splitFill(std::uint64_t n, std::size_t parts)
+{
+    std::vector<FillRange> ranges(parts);
+    const std::uint64_t base = n / parts, extra = n % parts;
+    std::uint64_t lo = 0;
+    for (std::size_t r = 0; r < parts; r++) {
+        const std::uint64_t len = base + (r < extra ? 1 : 0);
+        ranges[r] = {lo, lo + len};
+        lo += len;
+    }
+    return ranges;
+}
+
 std::uint64_t
 MemcachedWorkload::hashKey(std::uint64_t key)
 {
@@ -50,42 +73,73 @@ MemcachedWorkload::MemcachedWorkload(MemBackend &backend,
     indexAddr = b.alloc(numBuckets * sizeof(Bucket));
     footprint = numBuckets * sizeof(Bucket);
 
-    // Populate items with USR-style sizes (unmetered setup). Values are
-    // a repeating byte derived from the key so gets can be verified.
+    // The index is built host-side as a compact slot -> key+1 table
+    // (0 = empty), probing in insertion order. A key's slot depends only
+    // on its hash and on the keys probed before it, never on an item, so
+    // the probes run in a pass of their own, beside the allocation pass:
+    // on a thread of their own when the fill is split, else inline. In
+    // their own pass the table stays in the host cache between probes.
+    std::vector<std::uint32_t> slotKey(numBuckets, 0);
+    const auto probe = [&] {
+        for (std::uint64_t k = 0; k < params.numKeys; k++) {
+            std::uint64_t slot = hashKey(k) & (numBuckets - 1);
+            while (slotKey[slot] != 0)
+                slot = (slot + 1) & (numBuckets - 1);
+            slotKey[slot] = static_cast<std::uint32_t>(k + 1);
+        }
+    };
+    const std::size_t ranges = fillRangeCount(params.numKeys);
+    const std::vector<FillRange> keyRanges =
+        splitFill(params.numKeys, ranges);
+    const std::vector<FillRange> slotRanges = splitFill(numBuckets, ranges);
+
+    // Allocation pass: serial and in key order, so handles and the clock
+    // do not depend on the number of ranges. Items get USR-style sizes;
+    // each range keeps a copy of the size stream at its first key to
+    // re-draw its items' sizes from.
     std::vector<std::uint64_t> itemAddrs(params.numKeys);
-    UsrSizeDist sizes(params.seed);
-    std::vector<std::uint8_t> value(512);
-    for (std::uint64_t k = 0; k < params.numKeys; k++) {
-        const KvSize s = sizes.next();
-        const std::uint64_t item_bytes =
-            sizeof(ItemHeader) + s.keyBytes + s.valueBytes;
-        const std::uint64_t item = b.alloc(item_bytes);
-        footprint += item_bytes;
-        const ItemHeader header{k, s.keyBytes, s.valueBytes};
-        b.initWrite(item, &header, sizeof(header));
-        for (std::uint32_t i = 0; i < s.valueBytes; i++)
-            value[i] = static_cast<std::uint8_t>(k * 131 + i);
-        b.initWrite(item + sizeof(ItemHeader) + s.keyBytes, value.data(),
-                    s.valueBytes);
-        itemAddrs[k] = item;
+    std::vector<UsrSizeDist> rangeSizes;
+    {
+        std::jthread prober;
+        if (ranges > 1)
+            prober = std::jthread(probe);
+        UsrSizeDist sizes(params.seed);
+        for (const FillRange &range : keyRanges) {
+            rangeSizes.push_back(sizes);
+            for (std::uint64_t k = range.lo; k < range.hi; k++) {
+                const KvSize s = sizes.next();
+                const std::uint64_t item_bytes =
+                    sizeof(ItemHeader) + s.keyBytes + s.valueBytes;
+                itemAddrs[k] = b.alloc(item_bytes);
+                footprint += item_bytes;
+            }
+        }
+        if (ranges == 1)
+            probe();
     }
 
-    // The index is built host-side as a compact slot -> key+1 table
-    // (0 = empty), probing in insertion order, then streamed out as
-    // Buckets in InitWriter chunks. The probes run in a pass of their
-    // own so the table stays in the host cache between them (the item
-    // writes would evict it); a key's slot depends only on its hash and
-    // on the keys probed before it, never on the item pass.
-    std::vector<std::uint32_t> slotKey(numBuckets, 0);
-    for (std::uint64_t k = 0; k < params.numKeys; k++) {
-        std::uint64_t slot = hashKey(k) & (numBuckets - 1);
-        while (slotKey[slot] != 0)
-            slot = (slot + 1) & (numBuckets - 1);
-        slotKey[slot] = static_cast<std::uint32_t>(k + 1);
-    }
-    {
-        InitWriter index(b, indexAddr);
-        for (const std::uint32_t key_plus_one : slotKey) {
+    // Write phase (unmetered): range r writes its keys' items, whose
+    // values are a repeating byte derived from the key so gets can be
+    // verified, then streams its slice of the index as Buckets. Every
+    // byte range belongs to one range and initWrite may run on disjoint
+    // ranges at once (MemBackend::initWrite), so the image is the one a
+    // serial fill leaves. The calling thread runs range 0.
+    const auto writeRange = [&](std::size_t r) {
+        UsrSizeDist sizes = rangeSizes[r];
+        std::uint8_t value[512];
+        for (std::uint64_t k = keyRanges[r].lo; k < keyRanges[r].hi; k++) {
+            const KvSize s = sizes.next();
+            const ItemHeader header{k, s.keyBytes, s.valueBytes};
+            b.initWrite(itemAddrs[k], &header, sizeof(header));
+            for (std::uint32_t i = 0; i < s.valueBytes; i++)
+                value[i] = static_cast<std::uint8_t>(k * 131 + i);
+            b.initWrite(itemAddrs[k] + sizeof(ItemHeader) + s.keyBytes,
+                        value, s.valueBytes);
+        }
+        InitWriter index(b, indexAddr + slotRanges[r].lo * sizeof(Bucket));
+        for (std::uint64_t slot = slotRanges[r].lo; slot < slotRanges[r].hi;
+             slot++) {
+            const std::uint32_t key_plus_one = slotKey[slot];
             if (key_plus_one == 0) {
                 index.put(Bucket{0, 0});
             } else {
@@ -93,6 +147,26 @@ MemcachedWorkload::MemcachedWorkload(MemBackend &backend,
                 index.put(Bucket{itemAddrs[k], hashKey(k)});
             }
         }
+    };
+    // A helper's exception is rethrown here once every range has
+    // stopped, instead of terminating the program on its thread.
+    std::vector<std::exception_ptr> failed(ranges);
+    {
+        std::vector<std::jthread> writers;
+        for (std::size_t r = 1; r < ranges; r++) {
+            writers.emplace_back([&, r] {
+                try {
+                    writeRange(r);
+                } catch (...) {
+                    failed[r] = std::current_exception();
+                }
+            });
+        }
+        writeRange(0);
+    }
+    for (const std::exception_ptr &e : failed) {
+        if (e)
+            std::rethrow_exception(e);
     }
     b.dropCaches();
 }

@@ -12,6 +12,7 @@
 #ifndef TRACKFM_WORKLOADS_MEMCACHED_HH
 #define TRACKFM_WORKLOADS_MEMCACHED_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -34,6 +35,26 @@ struct MemcachedParams
     /** Why these parameters cannot build a store, or "" when they can. */
     std::string validate() const;
 };
+
+/** One contiguous [lo, hi) slice of a fill. */
+struct FillRange
+{
+    std::uint64_t lo;
+    std::uint64_t hi;
+};
+
+/**
+ * How many ranges a memcached fill of @p num_keys keys writes in
+ * parallel: min(4, max(1, num_keys / 65536)). A fixed rule, so a store
+ * fills the same way on every host.
+ */
+std::size_t fillRangeCount(std::uint64_t num_keys);
+
+/**
+ * Split [0, @p n) into @p parts (at least 1) contiguous, ordered slices
+ * whose sizes differ by at most one.
+ */
+std::vector<FillRange> splitFill(std::uint64_t n, std::size_t parts);
 
 /** Result of one run. */
 struct MemcachedResult

@@ -369,5 +369,46 @@ TEST(BackendFactory, NamesAreStable)
     }
 }
 
+TEST(BackendFactory, ZeroFarHeapIsFatal)
+{
+    auto cfg = smallConfig(SystemKind::Local);
+    cfg.farHeapBytes = 0;
+    EXPECT_EQ(cfg.validate(), "backend farHeapBytes is 0: the far heap "
+                              "must hold at least one allocation");
+    EXPECT_DEATH(makeBackend(cfg, CostParams{}), "farHeapBytes is 0");
+}
+
+TEST(BackendFactory, NonPowerOfTwoObjectSizeIsFatal)
+{
+    auto cfg = smallConfig(SystemKind::TrackFm);
+    cfg.objectSizeBytes = 48;
+    EXPECT_DEATH(makeBackend(cfg, CostParams{}),
+                 "TrackFM objectSizeBytes must be a power of two of at "
+                 "least 16, got 48");
+    // Local and Fastswap ignore the object size.
+    cfg.kind = SystemKind::Fastswap;
+    EXPECT_EQ(cfg.validate(), "");
+}
+
+TEST(BackendFactory, ObjectSizeBelowSixteenIsFatal)
+{
+    auto cfg = smallConfig(SystemKind::Aifm);
+    cfg.objectSizeBytes = 8;
+    EXPECT_DEATH(makeBackend(cfg, CostParams{}),
+                 "AIFM objectSizeBytes must be a power of two of at "
+                 "least 16, got 8");
+}
+
+TEST(BackendFactory, LocalMemoryBelowTwoObjectsIsFatal)
+{
+    auto cfg = smallConfig(SystemKind::TrackFm);
+    cfg.localMemBytes = 2 * cfg.objectSizeBytes - 1;
+    EXPECT_DEATH(makeBackend(cfg, CostParams{}),
+                 "TrackFM localMemBytes 8191 must hold at least two "
+                 "4096-B objects");
+    cfg.localMemBytes = 2 * cfg.objectSizeBytes;
+    EXPECT_EQ(cfg.validate(), "");
+}
+
 } // namespace
 } // namespace tfm

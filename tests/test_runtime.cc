@@ -84,7 +84,7 @@ TEST(ObjectStateTable, FootprintIsLikeAPageTable)
 TEST(ObjectStateTable, LargeTableStartsRemoteAndRoundTrips)
 {
     // 256 MB heap of 64-B objects: 4M entries (32 MB) taken from
-    // calloc, so every object starts in the all-zero remote state.
+    // zero pages, so every object starts in the all-zero remote state.
     ObjectStateTable table(256ull << 20, 64);
     ASSERT_EQ(table.numObjects(), 4ull << 20);
     EXPECT_EQ(table.footprintBytes(), 32ull << 20);
@@ -180,6 +180,35 @@ TEST(RegionAllocator, SizeOfIsZeroOffBlockStarts)
     EXPECT_EQ(alloc.sizeOf(~0ull & ~15ull), 0u);
     alloc.deallocate(b);
     EXPECT_EQ(alloc.sizeOf(b), 0u); // freed
+}
+
+/**
+ * The block table covers the whole heap from construction; only the
+ * frontier separates a granule never allocated from a live block.
+ */
+TEST(RegionAllocator, SizeOfIsZeroPastTheFrontierOfAFullTable)
+{
+    RegionAllocator alloc(4096, 4096);
+    EXPECT_EQ(alloc.sizeOf(0), 0u); // nothing allocated yet
+    const std::uint64_t big = alloc.allocate(64);
+    EXPECT_EQ(alloc.sizeOf(big), 64u);
+    for (std::uint64_t off = 16; off < 4096; off += 16)
+        EXPECT_EQ(alloc.sizeOf(off), 0u) << off; // interior, then past
+    std::uint64_t last = big;
+    while (true) {
+        const std::uint64_t off = alloc.allocate(16);
+        if (off == RegionAllocator::badOffset)
+            break;
+        last = off;
+    }
+    EXPECT_EQ(last, 4096u - 16);
+    EXPECT_EQ(alloc.frontier(), 4096u);
+    EXPECT_EQ(alloc.sizeOf(last), 16u); // the table's last granule
+    EXPECT_EQ(alloc.sizeOf(big + 16), 0u);
+    EXPECT_EQ(alloc.sizeOf(4096), 0u); // the heap's end
+    alloc.deallocate(last);
+    EXPECT_EQ(alloc.sizeOf(last), 0u);
+    EXPECT_EQ(alloc.allocate(16), last);
 }
 
 TEST(RegionAllocatorDeath, FreeOfInteriorOffsetPanics)

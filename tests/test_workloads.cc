@@ -218,6 +218,38 @@ TEST(MemcachedWorkload, EveryKeyReadsItsOwnValue)
 }
 
 /**
+ * The fill's ranges tile [0, n) in order, each index exactly once, and
+ * their number follows min(4, max(1, n / 65536)).
+ */
+TEST(FillRange, SplitCoversEveryIndexOnce)
+{
+    const struct
+    {
+        std::uint64_t n;
+        std::size_t ranges;
+    } cases[] = {{0, 1}, {1, 1}, {65535, 1}, {65536, 1}, {131072, 2},
+                 {262145, 4}, {1000000, 4}};
+    for (const auto &c : cases) {
+        ASSERT_EQ(fillRangeCount(c.n), c.ranges) << c.n;
+        const std::vector<FillRange> ranges = splitFill(c.n, c.ranges);
+        ASSERT_EQ(ranges.size(), c.ranges) << c.n;
+        std::vector<int> covered(c.n, 0);
+        std::uint64_t next = 0;
+        for (const FillRange &r : ranges) {
+            EXPECT_EQ(r.lo, next) << c.n; // ordered, no gap or overlap
+            EXPECT_LE(r.lo, r.hi) << c.n;
+            EXPECT_LE(r.hi - r.lo, c.n / c.ranges + 1) << c.n;
+            for (std::uint64_t i = r.lo; i < r.hi && i < c.n; i++)
+                covered[i]++;
+            next = r.hi;
+        }
+        EXPECT_EQ(next, c.n);
+        for (std::uint64_t i = 0; i < c.n; i++)
+            ASSERT_EQ(covered[i], 1) << c.n << " index " << i;
+    }
+}
+
+/**
  * A far heap smaller than the smallest memcached index (16 buckets,
  * 256 B): parameters must be rejected before anything is allocated, or
  * the store dies as "far heap exhausted" instead.
@@ -387,27 +419,18 @@ expectFillImage(const FillPin (&pins)[3], Build build)
 }
 
 /**
- * The store's far-heap image and set-up cycles are part of every
- * memcached result: pin both per backend. The hash covers the whole
- * index, then each item (header, key and value bytes) in bucket order.
+ * Build a @p num_keys memcached store on each pinned backend (TrackFM at
+ * 64-B objects) and check its far-heap image and set-up cycles. The
+ * hash covers the whole index, then each item (header, key and value
+ * bytes) in bucket order.
  */
-TEST(MemcachedWorkload, FillImageIsPinned)
+void
+expectMemcachedImage(const FillPin (&pins)[3], std::uint64_t num_keys)
 {
-    struct Pin
-    {
-        SystemKind kind;
-        std::uint64_t hash;
-        std::uint64_t cycles;
-    };
-    const Pin pins[] = {
-        {SystemKind::Local, 0x618dd389d567fca6ull, 2400120},
-        {SystemKind::TrackFm, 0x61c99a8bf8f2c8bcull, 2400120},
-        {SystemKind::Fastswap, 0x618dd389d567fca6ull, 2400120},
-    };
     MemcachedParams params;
-    params.numKeys = 20000;
+    params.numKeys = num_keys;
     params.seed = 13;
-    for (const Pin &pin : pins) {
+    for (const FillPin &pin : pins) {
         auto cfg = baseConfig(pin.kind);
         if (pin.kind == SystemKind::TrackFm)
             cfg.objectSizeBytes = 64;
@@ -443,9 +466,38 @@ TEST(MemcachedWorkload, FillImageIsPinned)
             items++;
         }
         EXPECT_EQ(items, params.numKeys) << systemName(pin.kind);
-        EXPECT_EQ(h, pin.hash) << systemName(pin.kind);
+        EXPECT_EQ(h, pin.hash) << systemName(pin.kind) << std::hex
+                               << " hash 0x" << h << std::dec;
         EXPECT_EQ(cycles, pin.cycles) << systemName(pin.kind);
     }
+}
+
+/**
+ * The store's far-heap image and set-up cycles are part of every
+ * memcached result: pin both per backend.
+ */
+TEST(MemcachedWorkload, FillImageIsPinned)
+{
+    const FillPin pins[] = {
+        {SystemKind::Local, 0x618dd389d567fca6ull, 2400120},
+        {SystemKind::TrackFm, 0x61c99a8bf8f2c8bcull, 2400120},
+        {SystemKind::Fastswap, 0x618dd389d567fca6ull, 2400120},
+    };
+    expectMemcachedImage(pins, 20000);
+}
+
+/**
+ * 262144 keys fill in four ranges on four threads: the image and the
+ * clock must be the ones the single-threaded fill left.
+ */
+TEST(MemcachedWorkload, FillImageIsPinnedAcrossRanges)
+{
+    const FillPin pins[] = {
+        {SystemKind::Local, 0x62248636350d74ffull, 31457400},
+        {SystemKind::TrackFm, 0xcea5fd1f3cc3d621ull, 31457400},
+        {SystemKind::Fastswap, 0x62248636350d74ffull, 31457400},
+    };
+    expectMemcachedImage(pins, 262144);
 }
 
 TEST(StreamWorkload, FillImageIsPinned)

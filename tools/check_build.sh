@@ -328,14 +328,18 @@ fi
 # ThreadSanitizer pass: rebuild with -DTFM_TSAN=ON (thread does not
 # compose with address/undefined, hence its own tree) and run the
 # concurrent-runtime suite — the MT pointer-chase stress with eviction
-# churn — plus a concurrent serving smoke. TFM_TSAN=off skips.
+# churn — the memcached fill tests, whose 262144-key store writes on
+# four threads through concurrent initWrite calls, plus a concurrent
+# serving smoke. TFM_TSAN=off skips.
 TFM_TSAN="${TFM_TSAN:-on}"
 if [ "${TFM_TSAN}" != "off" ]; then
     TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${BUILD_DIR}-tsan}"
     cmake -B "${TSAN_BUILD_DIR}" -S . -DTFM_TSAN=ON
     cmake --build "${TSAN_BUILD_DIR}" -j "$(nproc)" \
-        --target test_concurrency bench_serving
+        --target test_concurrency test_workloads bench_serving
     "${TSAN_BUILD_DIR}/tests/test_concurrency" > /dev/null
+    "${TSAN_BUILD_DIR}/tests/test_workloads" \
+        --gtest_filter='MemcachedWorkload.*:*FillRange*' > /dev/null
     "${TSAN_BUILD_DIR}/bench/bench_serving" --concurrent --workers=4 \
         --requests=400 --loads=0.5,2.0 > /dev/null
     echo "check_build: thread-sanitizer concurrency suite OK"
