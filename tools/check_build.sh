@@ -62,7 +62,8 @@ echo "check_build: example programs OK (both engines)"
 # must stay byte-identical to its checked-in copy in tests/golden/
 # (default seed, so TFM_SEED is cleared). Fig. 16 covers the memcached
 # store; Figs. 8, 9, 12, 14 and 17 cover the KMeans, hashmap, STREAM,
-# dataframe and NAS far-heap fills. The batching bench's unbatched
+# dataframe and NAS far-heap fills, and Figs. 6, 7, 10 and 11 and the
+# guard ablation the other STREAM sweeps. The batching bench's unbatched
 # mode is the only gated run of the direct (unparked) writeback path;
 # the serving bench covers the deterministic scheduler, the cluster
 # bench the sharded tier and its failover, and the prefetch ablation
@@ -72,13 +73,17 @@ echo "check_build: example programs OK (both engines)"
 for bench in bench_fig8_kmeans_chunking bench_fig9_objsize_hashmap \
     bench_fig12_stream_vs_fastswap bench_fig14_analytics \
     bench_fig16_memcached bench_fig17_nas bench_batching \
-    bench_serving bench_cluster_scaling bench_ablation_prefetch; do
+    bench_serving bench_cluster_scaling bench_ablation_prefetch \
+    bench_fig6_cost_model bench_fig7_loop_chunking \
+    bench_fig10_objsize_stream bench_fig11_prefetch \
+    bench_ablation_guards; do
     env -u TFM_SEED "${BUILD_DIR}/bench/${bench}" \
         > "${BUILD_DIR}/${bench}.out"
     cmp "${BUILD_DIR}/${bench}.out" "tests/golden/${bench}.txt"
 done
-echo "check_build: bench golden gate (Figs. 8, 9, 12, 14, 16, 17," \
-    "batching, serving, cluster scaling, prefetch ablation) OK"
+echo "check_build: bench golden gate (Figs. 6, 7, 8, 9, 10, 11, 12, 14," \
+    "16, 17, batching, serving, cluster scaling, prefetch and guard" \
+    "ablations) OK"
 
 # Lint tier: clang-tidy with the checked-in .clang-tidy configs
 # (bugprone-* and performance-* everywhere; src/serve and src/runtime
