@@ -124,6 +124,11 @@ class RemoteBackend
                           std::size_t len) = 0;
     virtual void rawRead(std::uint64_t offset, std::byte *dst,
                          std::size_t len) const = 0;
+    /**
+     * Whether every byte no write has reached reads back as zero, so a
+     * block fresh from the allocation frontier needs no zeroing write.
+     */
+    virtual bool unwrittenIsZero() const { return true; }
     /** @} */
 
     /** Aggregate link statistics (sum over shards). */

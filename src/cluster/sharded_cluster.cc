@@ -405,6 +405,12 @@ ShardedCluster::rawRead(std::uint64_t offset, std::byte *dst,
     }
 }
 
+bool
+ShardedCluster::unwrittenIsZero() const
+{
+    return std::find(lost_.begin(), lost_.end(), true) == lost_.end();
+}
+
 NetStats
 ShardedCluster::netStats() const
 {

@@ -89,6 +89,9 @@ class ShardedCluster final : public RemoteBackend
                   std::size_t len) override;
     void rawRead(std::uint64_t offset, std::byte *dst,
                  std::size_t len) const override;
+    /** False while a stripe lost with its last replica is unrewritten:
+     *  its reads fail until a write re-covers it. */
+    bool unwrittenIsZero() const override;
     NetStats netStats() const override;
     RemoteStats remoteStats() const override;
     std::uint32_t

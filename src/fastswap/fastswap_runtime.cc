@@ -2,6 +2,7 @@
 
 #include "obs/obs.hh"
 #include "sim/logging.hh"
+#include "sim/zeroed_array.hh"
 
 namespace tfm
 {
@@ -25,12 +26,22 @@ FastswapRuntime::FastswapRuntime(const FastswapConfig &config,
 }
 
 std::uint64_t
-FastswapRuntime::allocate(std::uint64_t bytes)
+FastswapRuntime::allocate(std::uint64_t bytes, bool *fresh)
 {
     _clock.advance(_costs.allocCycles);
-    const std::uint64_t offset = alloc_.allocate(bytes);
+    const std::uint64_t offset = alloc_.allocate(bytes, fresh);
     TFM_ASSERT(offset != RegionAllocator::badOffset,
                "fastswap heap exhausted");
+    return offset;
+}
+
+std::uint64_t
+FastswapRuntime::allocateZeroed(std::uint64_t bytes)
+{
+    bool fresh = false;
+    const std::uint64_t offset = allocate(bytes, &fresh);
+    if (!fresh)
+        writeZeros(*this, offset, bytes);
     return offset;
 }
 
@@ -62,6 +73,8 @@ void
 FastswapRuntime::rawWrite(std::uint64_t offset, const void *src,
                           std::size_t len)
 {
+    TFM_ASSERT(alloc_.belowFrontier(offset, len),
+               "raw write past the allocation frontier");
     _remote.rawWrite(offset, static_cast<const std::byte *>(src), len);
 }
 

@@ -56,8 +56,18 @@ class FastswapRuntime
     const CostParams &costs() const { return _costs; }
     const FastswapConfig &config() const { return cfg; }
 
-    /** Allocate heap (ordinary malloc; any page may be swapped). */
-    std::uint64_t allocate(std::uint64_t bytes);
+    /**
+     * Allocate heap (ordinary malloc; any page may be swapped). @p
+     * fresh, when given, reports whether the block came from the
+     * frontier (RegionAllocator::allocate).
+     */
+    std::uint64_t allocate(std::uint64_t bytes, bool *fresh = nullptr);
+    /**
+     * allocate() whose @p bytes read back as zero (calloc), charged the
+     * same: a block fresh from the frontier is not written, a reused
+     * one is zeroed through rawWrite(), unmetered.
+     */
+    std::uint64_t allocateZeroed(std::uint64_t bytes);
     void deallocate(std::uint64_t offset);
 
     /** Read @p len bytes; one potential fault per page touched. */
@@ -85,6 +95,8 @@ class FastswapRuntime
 
     /** @name Initialization (no accounting)
      * @{ */
+    /** Panics past the allocation frontier, whose bytes stay zero for
+     *  allocateZeroed(). */
     void rawWrite(std::uint64_t offset, const void *src, std::size_t len);
     void rawRead(std::uint64_t offset, void *dst, std::size_t len);
     /** @} */

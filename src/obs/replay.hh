@@ -75,6 +75,11 @@ class RecordingBackend final : public RemoteBackend
         inner_->rawRead(offset, dst, len);
     }
 
+    bool unwrittenIsZero() const override
+    {
+        return inner_->unwrittenIsZero();
+    }
+
     NetStats netStats() const override { return inner_->netStats(); }
     RemoteStats remoteStats() const override
     {

@@ -7,6 +7,7 @@
 #include "obs/obs.hh"
 #include "obs/replay.hh"
 #include "sim/logging.hh"
+#include "sim/zeroed_array.hh"
 
 namespace tfm
 {
@@ -147,12 +148,22 @@ FarMemRuntime::shardLock(std::uint64_t offset)
 }
 
 std::uint64_t
-FarMemRuntime::allocate(std::uint64_t bytes)
+FarMemRuntime::allocate(std::uint64_t bytes, bool *fresh)
 {
     clock().advance(_costs.allocCycles);
     std::lock_guard<std::mutex> g(allocMu_);
-    const std::uint64_t offset = alloc_.allocate(bytes);
+    const std::uint64_t offset = alloc_.allocate(bytes, fresh);
     TFM_ASSERT(offset != RegionAllocator::badOffset, "far heap exhausted");
+    return offset;
+}
+
+std::uint64_t
+FarMemRuntime::allocateZeroed(std::uint64_t bytes)
+{
+    bool fresh = false;
+    const std::uint64_t offset = allocate(bytes, &fresh);
+    if (!fresh || !backend_->unwrittenIsZero())
+        writeZeros(*this, offset, bytes);
     return offset;
 }
 
@@ -646,7 +657,12 @@ void
 FarMemRuntime::rawWrite(std::uint64_t offset, const void *src,
                         std::size_t len)
 {
+    TFM_ASSERT(alloc_.belowFrontier(offset, len),
+               "raw write past the allocation frontier");
     const auto *bytes = static_cast<const std::byte *>(src);
+    // One call for the whole range: a sharded tier re-homes a lost
+    // stripe only when a single write covers all of it.
+    backend_->rawWrite(offset, bytes, len);
     std::size_t done = 0;
     while (done < len) {
         const std::uint64_t at = offset + done;
@@ -654,7 +670,6 @@ FarMemRuntime::rawWrite(std::uint64_t offset, const void *src,
         const std::uint64_t in_obj = ost.offsetInObject(at);
         const std::size_t chunk = std::min<std::size_t>(
             len - done, ost.objectSize() - in_obj);
-        backend_->rawWrite(at, bytes + done, chunk);
         const ObjectMeta &meta = ost[obj_id];
         if (meta.present()) {
             std::memcpy(cache.frameData(meta.frame()) + in_obj,

@@ -239,8 +239,20 @@ class FarMemRuntime
 
     /** @name Allocation (the unified ADS object pool)
      * @{ */
-    /** Allocate @p bytes of far memory; returns the far-heap offset. */
-    std::uint64_t allocate(std::uint64_t bytes);
+    /**
+     * Allocate @p bytes of far memory; returns the far-heap offset.
+     * @p fresh, when given, reports whether the block came from the
+     * frontier (RegionAllocator::allocate), decided under the
+     * allocator's lock together with the allocation.
+     */
+    std::uint64_t allocate(std::uint64_t bytes, bool *fresh = nullptr);
+    /**
+     * allocate() whose @p bytes read back as zero (calloc), charged the
+     * same. A block fresh from the frontier of a tier that promises
+     * zeros is not written; any other block is zeroed through
+     * rawWrite(), unmetered.
+     */
+    std::uint64_t allocateZeroed(std::uint64_t bytes);
     /** Free a prior allocation. */
     void deallocate(std::uint64_t offset);
     /** Rounded size of a live allocation. */
@@ -300,7 +312,11 @@ class FarMemRuntime
 
     /** @name Initialization / verification (no cycle accounting)
      * @{ */
-    /** Write through to both the local copy (if any) and the remote. */
+    /**
+     * Write through to both the local copy (if any) and the remote.
+     * Panics past the allocation frontier, whose bytes stay zero for
+     * allocateZeroed().
+     */
     void rawWrite(std::uint64_t offset, const void *src, std::size_t len);
     /** Read the current value wherever it lives. */
     void rawRead(std::uint64_t offset, void *dst, std::size_t len);

@@ -26,7 +26,7 @@ RegionAllocator::classLog2(std::uint64_t bytes)
 }
 
 std::uint64_t
-RegionAllocator::allocate(std::uint64_t bytes)
+RegionAllocator::allocate(std::uint64_t bytes, bool *fresh)
 {
     // No block of a class this large can exist or fit; checking first
     // also keeps the class shift below 64 bits.
@@ -42,6 +42,8 @@ RegionAllocator::allocate(std::uint64_t bytes)
         liveLog2[offset >> granuleShift] = static_cast<std::uint8_t>(lg + 1);
         _stats.allocations++;
         _stats.bytesAllocated += rounded;
+        if (fresh)
+            *fresh = false;
         return offset;
     }
 
@@ -52,14 +54,16 @@ RegionAllocator::allocate(std::uint64_t bytes)
     // frontier, and with it every block, stays granule-aligned.
     const std::uint64_t align =
         rounded < objSize ? rounded : static_cast<std::uint64_t>(objSize);
-    const std::uint64_t offset = (bump + align - 1) & ~(align - 1);
+    const std::uint64_t offset = (frontier() + align - 1) & ~(align - 1);
     if (offset + rounded > _heapBytes)
         return badOffset;
 
-    bump = offset + rounded;
+    bump.store(offset + rounded, std::memory_order_relaxed);
     liveLog2[offset >> granuleShift] = static_cast<std::uint8_t>(lg + 1);
     _stats.allocations++;
     _stats.bytesAllocated += rounded;
+    if (fresh)
+        *fresh = true;
     return offset;
 }
 
@@ -80,7 +84,7 @@ RegionAllocator::sizeOf(std::uint64_t offset) const
 {
     const std::uint64_t granule = offset >> granuleShift;
     if ((offset & ((1ull << granuleShift) - 1)) != 0 ||
-        offset >= bump || liveLog2[granule] == 0)
+        offset >= frontier() || liveLog2[granule] == 0)
         return 0;
     return 1ull << (liveLog2[granule] - 1u);
 }

@@ -18,6 +18,7 @@
 #define TRACKFM_RUNTIME_REGION_ALLOCATOR_HH
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -50,9 +51,15 @@ class RegionAllocator
 
     /**
      * Allocate @p bytes; returns the far-heap byte offset.
+     *
+     * When @p fresh is given, it reports whether the block was carved
+     * from the frontier (true) or reused from a free list (false). A
+     * fresh block holds bytes no earlier block covered, so while no
+     * write reaches past the frontier (the runtimes' raw writes check
+     * it) they still hold the far heap's initial zeros.
      * @return offset, or badOffset when the far heap is exhausted.
      */
-    std::uint64_t allocate(std::uint64_t bytes);
+    std::uint64_t allocate(std::uint64_t bytes, bool *fresh = nullptr);
 
     /** Free an allocation previously returned by allocate(). */
     void deallocate(std::uint64_t offset);
@@ -61,8 +68,24 @@ class RegionAllocator
     std::uint64_t sizeOf(std::uint64_t offset) const;
 
     std::uint64_t heapBytes() const { return _heapBytes; }
-    /// First never-allocated offset; the prefetcher stops here.
-    std::uint64_t frontier() const { return bump; }
+    /// First never-allocated offset; the prefetcher and the raw-write
+    /// check stop here. Safe to read beside a locked allocate().
+    std::uint64_t
+    frontier() const
+    {
+        return bump.load(std::memory_order_relaxed);
+    }
+    /**
+     * Whether [@p offset, @p offset + @p len) lies below the frontier.
+     * Every raw write must: bytes past it are the zeros fresh blocks
+     * are promised.
+     */
+    bool
+    belowFrontier(std::uint64_t offset, std::uint64_t len) const
+    {
+        const std::uint64_t end = frontier();
+        return len <= end && offset <= end - len;
+    }
     std::uint64_t bytesInUse() const
     {
         return _stats.bytesAllocated - _stats.bytesFreed;
@@ -80,7 +103,9 @@ class RegionAllocator
 
     std::uint64_t _heapBytes;
     std::uint32_t objSize;
-    std::uint64_t bump = 0;
+    /// Written only by allocate() (serialized by its caller); atomic so
+    /// that a raw write on another thread may check against it.
+    std::atomic<std::uint64_t> bump{0};
     AllocStats _stats;
     /// log2(size class) -> freed offsets of exactly that class (LIFO)
     std::array<std::vector<std::uint64_t>, 64> freeLists;

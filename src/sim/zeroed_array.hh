@@ -11,6 +11,10 @@
  * another then gets its tables from the heap, zero-filled and resident.
  * The far heap's stores, the object state table and the allocator's
  * block table all start as all-zero words and hold them this way.
+ *
+ * writeZeros() is the other half: it zeroes a far range through a
+ * runtime's raw write from one static buffer, for the blocks that do
+ * not already hold zeros (a reused block).
  */
 
 #ifndef TRACKFM_SIM_ZEROED_ARRAY_HH
@@ -18,7 +22,10 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <new>
@@ -59,6 +66,31 @@ makeZeroedArray(std::size_t count)
     if (p == MAP_FAILED)
         throw std::bad_alloc();
     return ZeroedArray<T>(static_cast<T *>(p), UnmapDeleter{bytes});
+}
+
+/// The largest piece one writeZeros() call writes at once.
+inline constexpr std::uint64_t zeroChunkBytes = 64 << 10;
+
+/// writeZeros()'s source, never written. Not const, so it sits in .bss
+/// and costs no resident page until read: a const array would be 64 KB
+/// of the binary's read-only data, mapped in with whatever lies next to
+/// it.
+inline std::array<std::byte, zeroChunkBytes> zeroChunk{};
+
+/**
+ * Zero [@p offset, @p offset + @p bytes) through @p target.rawWrite()
+ * calls of at most zeroChunkBytes each, all reading zeroChunk: no
+ * temporary the size of the range.
+ */
+template <typename Target>
+void
+writeZeros(Target &target, std::uint64_t offset, std::uint64_t bytes)
+{
+    for (std::uint64_t done = 0; done < bytes; done += zeroChunkBytes) {
+        target.rawWrite(offset + done, zeroChunk.data(),
+                        static_cast<std::size_t>(
+                            std::min(bytes - done, zeroChunkBytes)));
+    }
 }
 
 } // namespace tfm

@@ -49,10 +49,8 @@ TfmRuntime::pagedCalloc(std::size_t count, std::size_t size)
         count > std::numeric_limits<std::size_t>::max() / size) {
         return 0;
     }
-    const std::size_t bytes = count * size;
-    const std::uint64_t addr = pagedMalloc(bytes);
-    zeroFill(addr, bytes);
-    return addr;
+    ensurePaged();
+    return pgEncode(callocBlock(count * size));
 }
 
 void
@@ -333,12 +331,12 @@ TfmRuntime::tfmRealloc(std::uint64_t addr, std::size_t bytes)
     return fresh;
 }
 
-void
-TfmRuntime::zeroFill(std::uint64_t addr, std::size_t bytes)
+std::uint64_t
+TfmRuntime::callocBlock(std::size_t bytes)
 {
-    const std::vector<std::byte> zeros(bytes, std::byte{0});
-    rt.rawWrite(tfmOffsetOf(addr), zeros.data(), bytes);
+    const std::uint64_t offset = rt.allocateZeroed(bytes);
     rt.clock().advance(bytes / 16 + 1);
+    return offset;
 }
 
 void

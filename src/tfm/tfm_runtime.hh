@@ -81,10 +81,7 @@ class TfmRuntime
             count > std::numeric_limits<std::size_t>::max() / size) {
             return 0;
         }
-        const std::size_t bytes = count * size;
-        const std::uint64_t addr = tfmMalloc(bytes);
-        zeroFill(addr, bytes);
-        return addr;
+        return tfmEncode(callocBlock(count * size));
     }
 
     std::uint64_t tfmRealloc(std::uint64_t addr, std::size_t bytes);
@@ -336,7 +333,12 @@ class TfmRuntime
         return config;
     }
 
-    void zeroFill(std::uint64_t addr, std::size_t bytes);
+    /**
+     * The far block behind a calloc: FarMemRuntime::allocateZeroed(),
+     * plus calloc's simulated zeroing charge, which stays the same
+     * whether or not a zero is written.
+     */
+    std::uint64_t callocBlock(std::size_t bytes);
 
     /**
      * Record a guard outcome on the main worker: always into the

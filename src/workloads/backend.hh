@@ -71,6 +71,15 @@ class MemBackend
     /** @name Allocation
      * @{ */
     virtual std::uint64_t alloc(std::uint64_t bytes) = 0;
+    /**
+     * alloc() whose @p bytes read back as zero (calloc), charged exactly
+     * like alloc(); the zeroing is unmetered, like initWrite. A block
+     * carved from the allocation frontier already holds zeros and is
+     * not written (initWrite never reaches past the frontier); a block
+     * reused from a free list, or one on a tier that cannot promise
+     * zeros, is zeroed in bounded chunks.
+     */
+    virtual std::uint64_t allocZeroed(std::uint64_t bytes) = 0;
     virtual void dealloc(std::uint64_t addr) = 0;
     /** @} */
 
@@ -96,7 +105,8 @@ class MemBackend
      * @{ */
     /**
      * Store @p len bytes at @p addr without charging a cycle or touching
-     * residency, prefetch or replacement state.
+     * residency, prefetch or replacement state. The range must lie below
+     * the allocation frontier; a write past it panics on every backend.
      *
      * Concurrency contract: several threads may call initWrite at once
      * on pairwise disjoint byte ranges, provided no other call on this

@@ -43,10 +43,16 @@ class LocalBackend : public MemBackend
     std::uint64_t
     alloc(std::uint64_t bytes) override
     {
-        clock.advance(costs.allocCycles);
-        const std::uint64_t offset = alloc_.allocate(bytes);
-        TFM_ASSERT(offset != RegionAllocator::badOffset,
-                   "local heap exhausted");
+        return allocBlock(bytes, nullptr);
+    }
+
+    std::uint64_t
+    allocZeroed(std::uint64_t bytes) override
+    {
+        bool fresh = false;
+        const std::uint64_t offset = allocBlock(bytes, &fresh);
+        if (!fresh)
+            std::memset(mem.get() + offset, 0, bytes);
         return offset;
     }
 
@@ -117,6 +123,8 @@ class LocalBackend : public MemBackend
     void
     initWrite(std::uint64_t addr, const void *src, std::size_t len) override
     {
+        TFM_ASSERT(alloc_.belowFrontier(addr, len),
+                   "raw write past the allocation frontier");
         std::memcpy(mem.get() + addr, src, len);
     }
 
@@ -143,6 +151,16 @@ class LocalBackend : public MemBackend
     }
 
   private:
+    std::uint64_t
+    allocBlock(std::uint64_t bytes, bool *fresh)
+    {
+        clock.advance(costs.allocCycles);
+        const std::uint64_t offset = alloc_.allocate(bytes, fresh);
+        TFM_ASSERT(offset != RegionAllocator::badOffset,
+                   "local heap exhausted");
+        return offset;
+    }
+
     void
     chargeBase(AccessHint hint)
     {
@@ -176,6 +194,12 @@ class TrackFmBackend : public MemBackend
     std::uint64_t alloc(std::uint64_t bytes) override
     {
         return rt.tfmMalloc(bytes);
+    }
+
+    std::uint64_t
+    allocZeroed(std::uint64_t bytes) override
+    {
+        return tfmEncode(rt.runtime().allocateZeroed(bytes));
     }
 
     void dealloc(std::uint64_t addr) override { rt.tfmFree(addr); }
@@ -399,6 +423,12 @@ class FastswapBackend : public MemBackend
         return fs.allocate(bytes);
     }
 
+    std::uint64_t
+    allocZeroed(std::uint64_t bytes) override
+    {
+        return fs.allocateZeroed(bytes);
+    }
+
     void dealloc(std::uint64_t addr) override { fs.deallocate(addr); }
 
     void
@@ -542,6 +572,12 @@ class AifmBackend : public MemBackend
     std::uint64_t alloc(std::uint64_t bytes) override
     {
         return rt.runtime().allocate(bytes);
+    }
+
+    std::uint64_t
+    allocZeroed(std::uint64_t bytes) override
+    {
+        return rt.runtime().allocateZeroed(bytes);
     }
 
     void dealloc(std::uint64_t addr) override
@@ -769,6 +805,12 @@ class SharedTfmBackend : public MemBackend
     std::uint64_t alloc(std::uint64_t bytes) override
     {
         return rt.tfmMalloc(bytes);
+    }
+
+    std::uint64_t
+    allocZeroed(std::uint64_t bytes) override
+    {
+        return tfmEncode(rt.runtime().allocateZeroed(bytes));
     }
 
     void dealloc(std::uint64_t addr) override { rt.tfmFree(addr); }

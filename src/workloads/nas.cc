@@ -53,7 +53,7 @@ class CgKernel : public NasKernel
         colidxAddr = b.alloc(nnz * 4);
         valuesAddr = b.alloc(nnz * 8);
         xAddr = b.alloc(n * 8);
-        yAddr = b.alloc(n * 8);
+        yAddr = b.allocZeroed(n * 8);
 
         Rng rng(params.seed);
         {
@@ -71,11 +71,8 @@ class CgKernel : public NasKernel
         }
         {
             InitWriter x(b, xAddr);
-            InitWriter y(b, yAddr);
-            for (std::uint64_t i = 0; i < n; i++) {
+            for (std::uint64_t i = 0; i < n; i++)
                 x.put(1.0);
-                y.put(0.0);
-            }
         }
         b.dropCaches();
     }
@@ -380,17 +377,12 @@ class MgKernel : public NasKernel
         : b(backend), n(params.scale), iterations(params.iterations)
     {
         fineAddr = b.alloc(cells(n) * 8);
-        coarseAddr = b.alloc(cells(n / 2) * 8);
+        coarseAddr = b.allocZeroed(cells(n / 2) * 8);
         Rng rng(params.seed);
         {
             InitWriter fine(b, fineAddr);
             for (std::uint64_t i = 0; i < cells(n); i++)
                 fine.put(rng.uniform());
-        }
-        {
-            InitWriter coarse(b, coarseAddr);
-            for (std::uint64_t i = 0; i < cells(n / 2); i++)
-                coarse.put(0.0);
         }
         b.dropCaches();
     }
@@ -533,16 +525,14 @@ class SpKernel : public NasKernel
     {
         rhsAddr = b.alloc(cells() * 8);
         lhsAddr = b.alloc(cells() * 8);
-        factorAddr = b.alloc(cells() * 8);
+        factorAddr = b.allocZeroed(cells() * 8);
         Rng rng(params.seed);
         {
             InitWriter rhs(b, rhsAddr);
             InitWriter lhs(b, lhsAddr);
-            InitWriter factor(b, factorAddr);
             for (std::uint64_t i = 0; i < cells(); i++) {
                 rhs.put(rng.uniform());
                 lhs.put(2.0 + rng.uniform());
-                factor.put(0.0);
             }
         }
         b.dropCaches();

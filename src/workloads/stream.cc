@@ -23,23 +23,13 @@ StreamWorkload::StreamWorkload(MemBackend &backend, std::uint64_t elements,
     TFM_ASSERT(element_bytes == 4 || element_bytes == 8,
                "stream elements are 4 or 8 bytes");
     srcAddr = b.alloc(n * elemBytes);
-    dstAddr = b.alloc(n * elemBytes);
+    dstAddr = b.allocZeroed(n * elemBytes);
     if (arrays == 3)
-        thirdAddr = b.alloc(n * elemBytes);
+        thirdAddr = b.allocZeroed(n * elemBytes);
     {
         InitWriter src(b, srcAddr);
         for (std::uint64_t i = 0; i < n; i++)
             putElem(src, valueAt(i));
-    }
-    {
-        InitWriter dst(b, dstAddr);
-        for (std::uint64_t i = 0; i < n; i++)
-            putElem(dst, 0);
-    }
-    if (arrays == 3) {
-        InitWriter third(b, thirdAddr);
-        for (std::uint64_t i = 0; i < n; i++)
-            putElem(third, 0);
     }
     b.dropCaches();
 }

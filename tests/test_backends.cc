@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -63,6 +64,67 @@ TEST_P(AllBackends, InitIsUnmetered)
     backend->initT<std::uint64_t>(addr, 42);
     EXPECT_EQ(backend->cycles(), before);
     EXPECT_EQ(backend->peekT<std::uint64_t>(addr), 42u);
+}
+
+/** Expect every byte of [addr, addr + bytes) to read back as zero,
+ *  unmetered and through a metered read of each 8-byte word. */
+void
+expectZeros(MemBackend &backend, std::uint64_t addr, std::uint64_t bytes)
+{
+    std::vector<std::byte> got(bytes, std::byte{1});
+    backend.initRead(addr, got.data(), bytes);
+    EXPECT_EQ(std::count(got.begin(), got.end(), std::byte{0}),
+              static_cast<std::ptrdiff_t>(bytes));
+    for (std::uint64_t i = 0; i < bytes; i += 8)
+        ASSERT_EQ(backend.readT<std::uint64_t>(addr + i, AccessHint::Random),
+                  0u)
+            << "at byte " << i;
+}
+
+TEST_P(AllBackends, AllocZeroedReadsZeroFreshAndReused)
+{
+    auto backend = makeBackend(smallConfig(GetParam()), CostParams{});
+    constexpr std::uint64_t bytes = 3 * 4096; // the 16 KB class
+    backend->alloc(100);
+    const std::uint64_t fresh = backend->allocZeroed(bytes);
+    expectZeros(*backend, fresh, bytes);
+    // Dirty the block through metered and unmetered writes, free it and
+    // take the same class back: the reused block must be zeroed.
+    for (std::uint64_t i = 0; i < bytes; i += 8)
+        backend->writeT<std::uint64_t>(fresh + i, ~i, AccessHint::Random);
+    backend->initT<std::uint64_t>(fresh + bytes - 8, 0x77);
+    backend->dealloc(fresh);
+    const std::uint64_t reused = backend->allocZeroed(bytes);
+    ASSERT_EQ(reused, fresh);
+    expectZeros(*backend, reused, bytes);
+    backend->dropCaches();
+    expectZeros(*backend, reused, bytes);
+}
+
+TEST_P(AllBackends, AllocZeroedChargesLikeAlloc)
+{
+    auto plain = makeBackend(smallConfig(GetParam()), CostParams{});
+    auto zeroed = makeBackend(smallConfig(GetParam()), CostParams{});
+    const std::uint64_t a = plain->alloc(8192);
+    const std::uint64_t z = zeroed->allocZeroed(8192);
+    EXPECT_EQ(a, z);
+    EXPECT_EQ(zeroed->cycles(), plain->cycles());
+    plain->dealloc(a);
+    zeroed->dealloc(z);
+    EXPECT_EQ(zeroed->allocZeroed(8192), plain->alloc(8192)); // reused
+    EXPECT_EQ(zeroed->cycles(), plain->cycles());
+    EXPECT_EQ(zeroed->bytesTransferred(), plain->bytesTransferred());
+}
+
+TEST_P(AllBackends, InitWritePastTheFrontierPanics)
+{
+    auto backend = makeBackend(smallConfig(GetParam()), CostParams{});
+    const std::uint64_t addr = backend->alloc(4096);
+    backend->initT<std::uint64_t>(addr + 4096 - 8, 1);
+    EXPECT_DEATH(backend->initT<std::uint64_t>(addr + 4096 - 4, 1),
+                 "raw write past the allocation frontier");
+    EXPECT_DEATH(backend->initT<std::uint64_t>(addr + (1 << 20), 1),
+                 "raw write past the allocation frontier");
 }
 
 TEST_P(AllBackends, StreamWritesThenReads)
@@ -236,6 +298,36 @@ TEST_F(InitWriterTfm, WritesReachAnObjectParkedForWriteback)
     // And the parked copy's eventual flush does not bring back the 1.
     backend->dropCaches();
     EXPECT_EQ(backend->peekT<std::uint64_t>(addr), 2u);
+}
+
+TEST_F(InitWriterTfm, AllocZeroedClearsAReusedFrameResidentBlock)
+{
+    const std::uint64_t addr = backend->alloc(64);
+    backend->writeT<std::uint64_t>(addr, ~0ull, AccessHint::Random);
+    ASSERT_TRUE(rt.runtime().isLocal(tfmOffsetOf(addr)));
+    backend->dealloc(addr);
+    ASSERT_EQ(backend->allocZeroed(64), addr);
+    EXPECT_TRUE(rt.runtime().isLocal(tfmOffsetOf(addr)));
+    expectZeros(*backend, addr, 64);
+    // The dirty frame's writeback carries the zeros too.
+    backend->dropCaches();
+    expectZeros(*backend, addr, 64);
+}
+
+TEST_F(InitWriterTfm, AllocZeroedClearsAReusedBlockParkedForWriteback)
+{
+    const std::uint64_t addr = backend->alloc(64 * 64);
+    backend->writeT<std::uint64_t>(addr, ~0ull, AccessHint::Random);
+    for (std::uint64_t i = 1; i < 64; i++)
+        backend->readT<std::uint64_t>(addr + i * 64, AccessHint::Random);
+    ASSERT_FALSE(rt.runtime().isLocal(tfmOffsetOf(addr)));
+    ASSERT_EQ(rt.runtime().pendingWritebacks(), 1u);
+    backend->dealloc(addr);
+    ASSERT_EQ(backend->allocZeroed(64 * 64), addr);
+    EXPECT_EQ(backend->peekT<std::uint64_t>(addr), 0u);
+    // The parked copy's eventual flush does not bring the old bytes back.
+    backend->dropCaches();
+    expectZeros(*backend, addr, 64 * 64);
 }
 
 TEST(BackendCosts, FarBackendsChargeMoreThanLocal)

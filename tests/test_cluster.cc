@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -450,6 +451,68 @@ TEST(ClusterFailover, UnreplicatedStripeLossIsLoud)
     cluster.writeback(0, data.data(), kObj);
     cluster.fetch(0, buf.data(), kObj);
     EXPECT_EQ(std::memcmp(buf.data(), data.data(), kObj), 0);
+}
+
+TEST(ClusterFailover, AllocateZeroedWritesFreshBlocksOnLostStripes)
+{
+    // k = 1: shard 0's death loses every stripe it held, those past the
+    // allocation frontier included. A fresh block there cannot count on
+    // the tier's zeros (a read would panic), so allocateZeroed writes
+    // them, and the writes re-home each whole stripe they cover.
+    RuntimeConfig cfg;
+    cfg.farHeapBytes = 1 << 20;
+    cfg.localMemBytes = 8 * kObj;
+    cfg.objectSizeBytes = kObj;
+    cfg.prefetchEnabled = false;
+    cfg.cluster.shardCount = 2;
+    cfg.cluster.failures.killShard(0, 1);
+    FarMemRuntime rt(cfg, CostParams{});
+    auto &cluster = static_cast<ShardedCluster &>(rt.backend());
+    EXPECT_TRUE(cluster.unwrittenIsZero());
+
+    const std::uint64_t first = rt.allocate(2 * kObj);
+    ASSERT_EQ(cluster.primaryShardOf(first + kObj), 1u);
+    rt.localize(first + kObj, false); // fires the failure
+    ASSERT_FALSE(cluster.shardAlive(0));
+    EXPECT_FALSE(cluster.unwrittenIsZero());
+
+    const std::uint64_t block = rt.allocateZeroed(2 * kObj);
+    ASSERT_EQ(cluster.primaryShardOf(block), 0u);
+    std::vector<std::byte> got(2 * kObj, std::byte{1});
+    rt.rawRead(block, got.data(), got.size());
+    EXPECT_EQ(std::count(got.begin(), got.end(), std::byte{0}),
+              static_cast<std::ptrdiff_t>(got.size()));
+    EXPECT_EQ(*rt.localize(block, false), std::byte{0});
+}
+
+TEST(ClusterFailover, RawWriteReHomesALostMultiObjectStripe)
+{
+    // Stripes of two objects at k = 1: a raw write that covers a whole
+    // lost stripe makes it readable again, although the runtime keeps
+    // its frames object by object.
+    RuntimeConfig cfg;
+    cfg.farHeapBytes = 1 << 20;
+    cfg.localMemBytes = 8 * kObj;
+    cfg.objectSizeBytes = kObj;
+    cfg.prefetchEnabled = false;
+    cfg.cluster.shardCount = 2;
+    cfg.cluster.stripeBytes = 2 * kObj;
+    cfg.cluster.failures.killShard(0, 1);
+    FarMemRuntime rt(cfg, CostParams{});
+    auto &cluster = static_cast<ShardedCluster &>(rt.backend());
+
+    const std::uint64_t first = rt.allocate(4 * kObj);
+    ASSERT_EQ(cluster.primaryShardOf(first), 0u);
+    ASSERT_EQ(cluster.primaryShardOf(first + 2 * kObj), 1u);
+    rt.localize(first + 2 * kObj, false); // fires the failure
+    ASSERT_FALSE(cluster.shardAlive(0));
+
+    std::vector<std::byte> data(2 * kObj);
+    fillPattern(data, 5);
+    rt.rawWrite(first, data.data(), data.size());
+    std::vector<std::byte> got(2 * kObj);
+    rt.rawRead(first, got.data(), got.size());
+    EXPECT_EQ(got, data);
 }
 
 TEST(ClusterKnobs, PerShardBandwidthOverrideSlowsTransfers)

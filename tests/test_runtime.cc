@@ -249,6 +249,36 @@ TEST(RegionAllocator, ReuseIsLifoPerSizeClass)
     EXPECT_EQ(alloc.stats().frees, 5u);
 }
 
+TEST(RegionAllocator, ReportsFreshAndReusedBlocks)
+{
+    RegionAllocator alloc(1 << 20, 4096);
+    bool fresh = false;
+    const std::uint64_t a = alloc.allocate(100, &fresh);
+    EXPECT_TRUE(fresh);
+    alloc.deallocate(a);
+    EXPECT_EQ(alloc.allocate(128, &fresh), a); // same 128 B class
+    EXPECT_FALSE(fresh);
+    EXPECT_EQ(alloc.allocate(128, &fresh), 128u);
+    EXPECT_TRUE(fresh);
+    // An exhausted heap leaves the flag alone.
+    EXPECT_EQ(alloc.allocate(2 << 20, &fresh), RegionAllocator::badOffset);
+    EXPECT_TRUE(fresh);
+}
+
+TEST(RegionAllocator, BelowFrontierCoversExactlyTheCarvedBytes)
+{
+    RegionAllocator alloc(1 << 20, 4096);
+    EXPECT_TRUE(alloc.belowFrontier(0, 0));
+    EXPECT_FALSE(alloc.belowFrontier(0, 1));
+    alloc.allocate(100); // frontier 128
+    EXPECT_TRUE(alloc.belowFrontier(0, 128));
+    EXPECT_TRUE(alloc.belowFrontier(120, 8));
+    EXPECT_FALSE(alloc.belowFrontier(120, 9));
+    EXPECT_FALSE(alloc.belowFrontier(128, 1));
+    EXPECT_FALSE(alloc.belowFrontier(8, ~0ull)); // no wrap-around
+    EXPECT_FALSE(alloc.belowFrontier(~0ull, 2));
+}
+
 TEST(RegionAllocator, LargeBlockThenSmallBlocks)
 {
     RegionAllocator alloc(64ull << 20, 4096);
@@ -537,6 +567,41 @@ TEST_F(RuntimeTest, RawWriteUpdatesLocalizedCopy)
     std::uint32_t readback = 0;
     std::memcpy(&readback, rt.tryFast(off, false), sizeof(readback));
     EXPECT_EQ(readback, value);
+}
+
+TEST_F(RuntimeTest, AllocateZeroedLeavesAFreshBlockUnwritten)
+{
+    FarMemRuntime rt(smallConfig(), CostParams{});
+    // A marker planted straight into the remote store past the frontier
+    // (no runtime write may go there) survives only if allocateZeroed
+    // skips writing the fresh block that now covers it.
+    const std::byte marker{0x5a};
+    rt.remote().rawWrite(4096 + 8, &marker, 1);
+    rt.allocate(4096);
+    const std::uint64_t before = rt.clock().now();
+    const std::uint64_t fresh = rt.allocateZeroed(4096);
+    ASSERT_EQ(fresh, 4096u);
+    EXPECT_EQ(rt.clock().now() - before, CostParams{}.allocCycles);
+    std::byte got{};
+    rt.rawRead(fresh + 8, &got, 1);
+    EXPECT_EQ(got, marker);
+    // A reused block is written, whatever it held.
+    rt.deallocate(fresh);
+    EXPECT_EQ(rt.allocateZeroed(4096), fresh);
+    rt.rawRead(fresh + 8, &got, 1);
+    EXPECT_EQ(got, std::byte{0});
+}
+
+TEST_F(RuntimeTest, RawWritePastTheFrontierPanics)
+{
+    FarMemRuntime rt(smallConfig(), CostParams{});
+    const std::uint64_t off = rt.allocate(4096);
+    const std::uint64_t value = 7;
+    rt.rawWrite(off + 4096 - 8, &value, sizeof(value));
+    EXPECT_DEATH(rt.rawWrite(off + 4096 - 4, &value, sizeof(value)),
+                 "raw write past the allocation frontier");
+    EXPECT_DEATH(rt.rawWrite(64 << 10, &value, sizeof(value)),
+                 "raw write past the allocation frontier");
 }
 
 TEST_F(RuntimeTest, EvacuateAllFlushesDirtyData)

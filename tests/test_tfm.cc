@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "tfm/chunk.hh"
 #include "tfm/cost_model.hh"
@@ -171,6 +172,39 @@ TEST(TfmRuntime, CallocZeroes)
     const std::uint64_t addr = rt.tfmCalloc(100, 8);
     for (int i = 0; i < 100; i++)
         EXPECT_EQ(rt.load<std::uint64_t>(addr + i * 8), 0u);
+}
+
+TEST(TfmRuntime, CallocZeroesAReusedBlockAndChargesTheSame)
+{
+    TfmRuntime rt(smallConfig(), CostParams{});
+    const std::uint64_t charge = CostParams{}.allocCycles + 800 / 16 + 1;
+    std::uint64_t before = rt.clock().now();
+    const std::uint64_t first = rt.tfmCalloc(100, 8);
+    EXPECT_EQ(rt.clock().now() - before, charge);
+    for (int i = 0; i < 100; i++)
+        rt.store<std::uint64_t>(first + i * 8, ~0ull);
+    rt.tfmFree(first);
+    before = rt.clock().now();
+    const std::uint64_t again = rt.tfmCalloc(100, 8);
+    ASSERT_EQ(again, first);
+    // Writing the zeros is unmetered; calloc's charge is not.
+    EXPECT_EQ(rt.clock().now() - before, charge);
+    for (int i = 0; i < 100; i++)
+        EXPECT_EQ(rt.load<std::uint64_t>(again + i * 8), 0u);
+}
+
+TEST(TfmRuntime, PagedCallocZeroesAReusedBlock)
+{
+    TfmRuntime rt(smallConfig(), CostParams{});
+    const std::uint64_t first = rt.pagedCalloc(512, 8);
+    const std::vector<std::uint64_t> ones(512, ~0ull);
+    rt.pagedWrite(first, ones.data(), 512 * 8);
+    rt.pagedFree(first);
+    const std::uint64_t again = rt.pagedCalloc(512, 8);
+    ASSERT_EQ(again, first);
+    std::vector<std::uint64_t> got(512, 1);
+    rt.pagedRead(again, got.data(), 512 * 8);
+    EXPECT_EQ(got, std::vector<std::uint64_t>(512, 0));
 }
 
 TEST(TfmRuntime, CallocOverflowReturnsNull)

@@ -321,6 +321,14 @@ class AllocRecorder : public MemBackend
         return addr;
     }
 
+    std::uint64_t
+    allocZeroed(std::uint64_t bytes) override
+    {
+        const std::uint64_t addr = in.allocZeroed(bytes);
+        allocs.push_back(Block{addr, bytes});
+        return addr;
+    }
+
     void dealloc(std::uint64_t addr) override { in.dealloc(addr); }
 
     void
